@@ -138,24 +138,6 @@ def aggregate_batch(
     return ad.add(features[centers], pooled)
 
 
-def local_aggregate(
-    block: AggregatorBlock,
-    features: np.ndarray,
-    positions: np.ndarray,
-    center_index: int,
-    neighbors: np.ndarray,
-) -> np.ndarray:
-    """Aggregated feature for a single center; see :func:`aggregate_batch`."""
-    out = aggregate_batch(
-        block,
-        Var(np.asarray(features, dtype=np.float64)),
-        positions,
-        np.asarray([center_index]),
-        np.asarray(neighbors).reshape(1, -1),
-    )
-    return out.value[0]
-
-
 def _local_indices(superset: np.ndarray, subset: np.ndarray) -> np.ndarray:
     lookup = {int(g): i for i, g in enumerate(superset)}
     try:
@@ -166,24 +148,23 @@ def _local_indices(superset: np.ndarray, subset: np.ndarray) -> np.ndarray:
 
 
 def pa_stack(
-    features,
+    features: np.ndarray,
     positions: np.ndarray,
     stages: Sequence[np.ndarray],
     blocks: Sequence[AggregatorBlock],
-):
+) -> np.ndarray:
     """Run stacked aggregation blocks over nested sample stages.
 
     Block t aggregates at the stage-t samples over the previous stage's
     point set (the raw scene for the first block). Later stages must be
-    subsets of earlier ones. Returns features for the final stage, as a
-    plain array when ``features`` is one.
+    subsets of earlier ones. Takes and returns plain arrays: the final
+    stage's features.
     """
     if len(stages) != len(blocks):
         raise ValueError("one sample stage per block")
     if any(len(s) == 0 for s in stages):
         raise ValueError("empty sample stage")
-    was_array = not isinstance(features, Var)
-    feats = as_var(features)
+    feats = Var(features)
     source_idx = np.arange(np.asarray(positions).shape[0], dtype=np.int64)
     source_pos = np.asarray(positions, dtype=np.float64)
     for block, stage in zip(blocks, stages):
@@ -199,7 +180,7 @@ def pa_stack(
         feats = aggregate_batch(block, feats, source_pos, local_centers, neighbors)
         source_idx = stage
         source_pos = source_pos[local_centers]
-    return feats.value if was_array else feats
+    return feats.value
 
 
 @dataclass(frozen=True)
@@ -232,10 +213,9 @@ def box_from_raw(raw: Var) -> Var:
 def heads(candidate_features, head_params: CandidateHeads):
     """Class logits, boxes, flat kernels, and quality logits per candidate.
 
-    Returns (L, B, W, q) with shapes (K, C), (K, 6), (K, H'), (K,); plain
-    arrays when the inputs are plain.
+    Returns tape variables (L, B, W, q) with shapes (K, C), (K, 6), (K, H'),
+    (K,).
     """
-    was_array = not isinstance(candidate_features, Var)
     e = as_var(candidate_features)
     cls = ad.add(ad.matmul(e, as_var(head_params.cls_weight)), as_var(head_params.cls_bias))
     raw_box = ad.add(ad.matmul(e, as_var(head_params.box_weight)), as_var(head_params.box_bias))
@@ -245,28 +225,4 @@ def heads(candidate_features, head_params: CandidateHeads):
         ad.add(ad.matmul(e, as_var(head_params.quality_weight)), as_var(head_params.quality_bias)),
         (e.shape[0],),
     )
-    if was_array:
-        return cls.value, box.value, kernel.value, quality.value
     return cls, box, kernel, quality
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Sampled candidates with their features and head outputs."""
-
-    indices: np.ndarray
-    features: np.ndarray
-    class_logits: np.ndarray
-    boxes: np.ndarray
-    kernels: np.ndarray
-    quality: np.ndarray
-
-    def __post_init__(self):
-        k = self.indices.shape[0]
-        if k < 1:
-            raise ValueError("candidate set must be nonempty")
-        for name in ("features", "class_logits", "boxes", "kernels"):
-            if getattr(self, name).shape[0] != k:
-                raise ValueError(f"{name} row count must match the candidate count")
-        if self.boxes.shape[1] != 6:
-            raise ValueError("boxes must be (K, 6)")

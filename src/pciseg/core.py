@@ -54,6 +54,8 @@ class Scene:
             raise ValueError("positions must be finite")
         if self.colors.shape != (n, 3):
             raise ValueError(f"colors must be (N, 3), got {self.colors.shape}")
+        if not np.all((self.colors >= 0.0) & (self.colors <= 1.0)):
+            raise ValueError("colors must be finite and lie in [0, 1]")
         if self.semantic_gt.shape != (n,) or self.instance_gt.shape != (n,):
             raise ValueError("label arrays must have shape (N,)")
         if self.num_classes < 1:

@@ -99,23 +99,6 @@ def layout_param_count(dims) -> int:
     return KernelLayout(tuple(dims)).param_count
 
 
-def geo_feature(point_boxes: np.ndarray, candidate_box: np.ndarray) -> np.ndarray:
-    """Componentwise absolute difference between point boxes and one box."""
-    point_boxes = np.asarray(point_boxes, dtype=np.float64)
-    candidate_box = np.asarray(candidate_box, dtype=np.float64).reshape(6)
-    if point_boxes.ndim != 2 or point_boxes.shape[1] != 6:
-        raise ValueError("point boxes must be (N, 6)")
-    if not (np.all(np.isfinite(point_boxes)) and np.all(np.isfinite(candidate_box))):
-        raise ValueError("boxes must be finite")
-    return np.abs(point_boxes - candidate_box)
-
-
-def rel_pos(positions: np.ndarray, candidate_position: np.ndarray) -> np.ndarray:
-    """Offsets of all points from one candidate position, unscaled."""
-    positions = np.asarray(positions, dtype=np.float64)
-    return positions - np.asarray(candidate_position, dtype=np.float64).reshape(3)
-
-
 def decoder_logits(inputs: Var, kernels: Var, layout: KernelLayout) -> Var:
     """Apply per-candidate sliced layers to per-point features.
 
@@ -140,27 +123,3 @@ def decoder_logits(inputs: Var, kernels: Var, layout: KernelLayout) -> Var:
             h = ad.relu(h)
     return ad.reshape(h, (k, inputs.shape[1]))
 
-
-def dyn_conv_forward(
-    f_mask: np.ndarray,
-    f_pos: np.ndarray,
-    f_geo: np.ndarray,
-    kernel: np.ndarray,
-    layout: KernelLayout,
-) -> np.ndarray:
-    """Decode one candidate's soft mask over all points.
-
-    Concatenates [f_mask; f_pos; f_geo] per point, runs the sliced layers,
-    and squashes the final logit through a sigmoid.
-    """
-    f_mask = np.asarray(f_mask, dtype=np.float64)
-    f_pos = np.asarray(f_pos, dtype=np.float64)
-    f_geo = np.asarray(f_geo, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if f_mask.ndim != 2 or f_pos.shape != (f_mask.shape[0], 3) or f_geo.shape != (f_mask.shape[0], 6):
-        raise ValueError("feature blocks must be (N, H), (N, 3), (N, 6)")
-    if kernel.shape != (layout.param_count,):
-        raise ValueError("kernel length does not match layout")
-    inputs = Var(np.concatenate([f_mask, f_pos, f_geo], axis=1)[None])
-    logits = decoder_logits(inputs, Var(kernel[None]), layout)
-    return ad.sigmoid(logits).value[0]

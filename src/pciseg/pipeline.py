@@ -20,12 +20,13 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from . import autodiff as ad
-from .aggregator import AggregatorBlock, CandidateHeads, CandidateSet, aggregate_batch, ball_query, heads
+from .aggregator import AggregatorBlock, CandidateHeads, aggregate_batch, ball_query, box_from_raw, heads
 from .autodiff import Var
-from .core import Aabb, Prediction, Scene, binarize, devoxelize_late, mask_iou, voxelize
+from .core import Aabb, Prediction, Scene, binarize, mask_iou, voxelize
 from .dynconv import KernelLayout, decoder_logits
 from .evalmetrics import average_precision
 from .sampling import OccupancyState, SampleBudget, fps, ia_fps_infer
+from .scenegen import read_exact
 from .supervision import (
     Assignment,
     InstancePredictions,
@@ -66,18 +67,9 @@ class PipelineConfig:
     nms_iou: float = 0.2
     binarize_threshold: float = 0.5
     background_classes: tuple[int, ...] = (0,)
-    use_superpoints: bool = True
     voxel_size: float | None = None
     devoxelization: str = "late"  # "early" | "late"
     decode_chunk: int = 96
-    # Box-difference features act as conditioning: the mask loss does not
-    # push gradients into the box heads through them (the box terms own
-    # that supervision). Flip on to backpropagate through the geo inputs.
-    geo_gradient: bool = False
-    # Reference box of candidate k inside the difference features: the
-    # pointwise box field evaluated at the candidate point ("point") or the
-    # candidate head's box prediction ("head").
-    geo_reference: str = "point"
     # training
     learning_rate: float = 5e-3
     rms_decay: float = 0.9
@@ -100,8 +92,6 @@ class PipelineConfig:
             raise ValueError("binarization threshold must lie in (0, 1)")
         if self.geo_cue not in ("on", "zero", "off"):
             raise ValueError("geo_cue must be one of on/zero/off")
-        if self.geo_reference not in ("point", "head"):
-            raise ValueError("geo_reference must be point or head")
         if self.devoxelization not in ("early", "late"):
             raise ValueError("devoxelization must be early or late")
         if self.layout_dims[0] != self.decoder_input_dim:
@@ -294,12 +284,6 @@ def _affine(x: Var, p: dict, name: str) -> Var:
     return ad.add(ad.matmul(x, p[f"{name}_w"]), p[f"{name}_b"])
 
 
-def _box_head(raw: Var) -> Var:
-    center = raw[:, :3]
-    half = ad.mul(ad.softplus(raw[:, 3:]), 0.5)
-    return ad.concat([ad.sub(center, half), ad.add(center, half)], axis=1)
-
-
 def _forward_pointwise(scene: Scene, p: dict, config: PipelineConfig, cache: EncoderCache | None):
     """Backbone features plus pointwise heads, all at point resolution.
 
@@ -315,24 +299,12 @@ def _forward_pointwise(scene: Scene, p: dict, config: PipelineConfig, cache: Enc
     if cache.vmap is not None and not expand_late:
         feats = feats[cache.vmap.point_to_voxel]
     sem = _affine(feats, p, "point.sem")
-    boxes = _box_head(_affine(feats, p, "point.box"))
+    boxes = box_from_raw(_affine(feats, p, "point.box"))
     fmask = _affine(feats, p, "point.mask")
     if expand_late:
         idx = cache.vmap.point_to_voxel
         feats, sem, boxes, fmask = feats[idx], sem[idx], boxes[idx], fmask[idx]
     return feats, sem, boxes, fmask
-
-
-def encode(scene: Scene, model: ModelParams, config: PipelineConfig | None = None) -> np.ndarray:
-    """Deterministic per-point features, (N, D)."""
-    config = config or default_config_for(model)
-    if scene.num_points < 1:
-        raise ValueError("scene must contain points")
-    cache = build_encoder_cache(scene, config)
-    feats = _mlp3(Var(cache.inputs), model.as_vars(), "enc").value
-    if cache.vmap is not None:
-        feats = devoxelize_late(feats, cache.vmap)
-    return feats
 
 
 def pointwise_predict(
@@ -374,12 +346,13 @@ def _decode_mask_logits(
     kernels: Var,
     layout: KernelLayout,
     geo_cue: str,
-    geo_gradient: bool = False,
 ) -> Var:
     """Raw decoder logits (K, M) for a batch of candidates.
 
-    Unless ``geo_gradient`` is set, the box-difference block enters as a
-    constant so the mask loss cannot tug on the box heads through it.
+    Each point's decoder input is its mask feature, its offset from the
+    candidate, and (unless ``geo_cue`` is "off") the box difference
+    |point box - candidate box|, zeroed under "zero". Gradients reach the
+    mask features and both boxes of the difference.
     """
     k = cand_positions.shape[0]
     m = positions.shape[0]
@@ -387,9 +360,7 @@ def _decode_mask_logits(
     parts = [ad.broadcast_to(ad.reshape(fmask, (1, m, fmask.shape[1])), (k, m, fmask.shape[1]))]
     parts.append(Var(f_pos))
     if geo_cue != "off":
-        pb = point_boxes if geo_gradient else Var(ad.value_of(point_boxes))
-        cb = cand_boxes if geo_gradient else Var(ad.value_of(cand_boxes))
-        geo = ad.absolute(ad.sub(ad.reshape(pb, (1, m, 6)), ad.reshape(cb, (k, 1, 6))))
+        geo = ad.absolute(ad.sub(ad.reshape(point_boxes, (1, m, 6)), ad.reshape(cand_boxes, (k, 1, 6))))
         if geo_cue == "zero":
             geo = ad.mul(geo, 0.0)
         parts.append(geo)
@@ -493,11 +464,10 @@ def infer(
     def decode_for(local_idx: np.ndarray) -> np.ndarray:
         nb = ball_query(sub_pos, sub_pos[local_idx], block2.radius, block2.num_neighbors, local_idx)
         f2 = aggregate_batch(block2, feats1, sub_pos, local_idx, nb)
-        _, boxes_c, kernels_c, _ = heads(f2, head_params)
-        ref = sub_boxes[local_idx] if config.geo_reference == "point" else boxes_c
+        _, _, kernels_c, _ = heads(f2, head_params)
         logits = _decode_mask_logits(
-            sub_fmask, sub_pos, sub_boxes, sub_pos[local_idx], ref, kernels_c, layout,
-            config.geo_cue, config.geo_gradient,
+            sub_fmask, sub_pos, sub_boxes, sub_pos[local_idx], sub_boxes[local_idx], kernels_c,
+            layout, config.geo_cue,
         )
         return expit(logits.value)
 
@@ -509,36 +479,24 @@ def infer(
     nb2 = ball_query(sub_pos, sub_pos[local_order], block2.radius, block2.num_neighbors, local_order)
     feats2 = aggregate_batch(block2, feats1, sub_pos, local_order, nb2)
     cls_logits, boxes, kernels, quality = heads(feats2, head_params)
-    candidate_set = CandidateSet(
-        indices=candidates,
-        features=ad.value_of(feats2),
-        class_logits=ad.value_of(cls_logits),
-        boxes=ad.value_of(boxes),
-        kernels=ad.value_of(kernels),
-        quality=ad.value_of(quality),
-    )
     t2 = time.perf_counter()
 
     soft_masks = np.empty((candidates.size, scene.num_points))
     for start in range(0, candidates.size, config.decode_chunk):
         sel = slice(start, min(start + config.decode_chunk, candidates.size))
-        ref = point_boxes[candidates[sel]] if config.geo_reference == "point" else boxes[sel]
         logits = _decode_mask_logits(
             fmask,
             positions,
             point_boxes,
             positions[candidates[sel]],
-            ref,
+            point_boxes[candidates[sel]],
             kernels[sel],
             layout,
             config.geo_cue,
-            config.geo_gradient,
         )
         soft_masks[sel] = expit(logits.value)
 
-    class_ids, scores, class_probs = _score_candidates(
-        candidate_set.class_logits, candidate_set.quality
-    )
+    class_ids, scores, class_probs = _score_candidates(cls_logits.value, quality.value)
     binary = binarize(soft_masks, config.binarize_threshold)
     nonempty = np.flatnonzero(binary.any(axis=1))
     kept = [int(nonempty[i]) for i in nms(binary[nonempty], scores[nonempty], config.nms_iou)]
@@ -548,12 +506,12 @@ def infer(
         soft = soft_masks[idx]
         aligned = (
             superpoint_align(soft, scene.superpoints)
-            if config.use_superpoints and scene.superpoints is not None
+            if scene.superpoints is not None
             else binarize(soft, config.binarize_threshold)
         )
         if not aligned.any():
             continue
-        box_vec = candidate_set.boxes[idx]
+        box_vec = boxes.value[idx]
         predictions.append(
             Prediction(
                 class_id=int(class_ids[idx]),
@@ -635,17 +593,15 @@ def scene_loss(
     feats2 = aggregate_batch(block2, feats1, sub_pos, stage2_local, nb2)
     cls_logits, boxes, kernels, quality = heads(feats2, _candidate_heads(model_vars))
 
-    geo_ref = point_boxes[candidates] if config.geo_reference == "point" else boxes
     mask_logits = _decode_mask_logits(
         fmask,
         positions,
         point_boxes,
         positions[candidates],
-        geo_ref,
+        point_boxes[candidates],
         kernels,
         config.kernel_layout(),
         config.geo_cue,
-        config.geo_gradient,
     )
 
     targets = InstanceTargets.from_scene(scene)
@@ -676,18 +632,6 @@ def scene_loss(
     if not all(np.isfinite(v) for v in values.values()):
         raise RuntimeError(f"non-finite loss (diverged): {values}")
     return total, LossReport(weights=config.loss_weights, **values)
-
-
-def scene_loss_report(scene: Scene, model: ModelParams, config: PipelineConfig) -> LossReport:
-    """Loss report of one scene including the full parameter gradients."""
-    model_vars = model.as_vars(trainable=True)
-    total, report = scene_loss(scene, model_vars, config)
-    ad.backward(total)
-    report.gradients = {
-        name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-        for name, leaf in model_vars.items()
-    }
-    return report
 
 
 def train(
@@ -773,27 +717,36 @@ def save_model(path, model: ModelParams) -> None:
 
 
 def load_model(path) -> ModelParams:
+    """Read a model file; any malformed file raises ``ValueError``.
+
+    The header's structural fields must describe a valid config, and its
+    parameter list must name exactly the parameters and shapes that config
+    needs, in the order ``_param_specs`` gives them.
+    """
     with open(path, "rb") as f:
         if f.read(8) != MODEL_MAGIC:
             raise ValueError("not a model file (bad magic)")
-        (length,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(length).decode("utf-8"))
+        (length,) = struct.unpack("<I", read_exact(f, 4))
+        try:
+            header = json.loads(read_exact(f, length).decode("utf-8"))
+        except RecursionError as exc:
+            raise ValueError("model header is not valid JSON") from exc
+        if not isinstance(header, dict):
+            raise ValueError("model header must be a JSON object")
         if header.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {header.get('version')}")
-        params = {}
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = f.read(count * 8)
-            if len(data) != count * 8:
-                raise ValueError("truncated model file")
-            params[spec["name"]] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        dims = header.get("layout_dims")
+        sizes = [header.get(key) for key in ("d_model", "mask_dim", "num_classes")]
+        sizes += dims if isinstance(dims, list) and dims else [None]
+        if not all(type(v) is int and v >= 1 for v in sizes):
+            raise ValueError("model header sizes must be positive integers")
+        model = ModelParams(*sizes[:3], tuple(dims), {})
+        specs = _param_specs(default_config_for(model))
+        if header.get("params") != [{"name": name, "shape": list(shape)} for name, shape in specs]:
+            raise ValueError("model parameters do not match the header's structure")
+        for name, shape in specs:
+            data = read_exact(f, 8 * int(np.prod(shape)))
+            model.params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing data in model file")
-    return ModelParams(
-        d_model=header["d_model"],
-        mask_dim=header["mask_dim"],
-        num_classes=header["num_classes"],
-        layout_dims=tuple(header["layout_dims"]),
-        params=params,
-    )
+    return model

@@ -1,10 +1,11 @@
 """Farthest-point sampling and its instance-aware variants.
 
 The plain sampler greedily maximizes the minimum Euclidean distance to the
-points already selected. The instance-aware variants restrict the eligible
-set: at training time to points unlikely to be background, at inference
-time additionally to points not yet claimed by the masks decoded for
-earlier candidates, refreshed chunk by chunk.
+points already selected. Instance-aware sampling restricts the eligible
+set: at training time to points unlikely to be background (``fps`` with
+a foreground ``candidate_filter``), at inference time additionally to
+points not yet claimed by the masks decoded for earlier candidates,
+refreshed chunk by chunk.
 """
 
 from __future__ import annotations
@@ -165,24 +166,6 @@ def fps(
     sampler.seed(allowed, seed_index)
     sampler.extend(allowed, budget - 1)
     return np.asarray(sampler.order, dtype=np.int64)
-
-
-def ia_fps_train(
-    state: OccupancyState,
-    positions: np.ndarray,
-    k: int,
-    seed_index: int | None = None,
-) -> np.ndarray:
-    """Single-shot sampling from the predicted-foreground set.
-
-    Samples min(k, foreground count) points: small scenes simply return the
-    whole foreground rather than failing.
-    """
-    fg = state.foreground()
-    count = int(fg.sum())
-    if count == 0:
-        raise ValueError("no foreground")
-    return fps(positions, min(k, count), seed_index=seed_index, candidate_filter=fg)
 
 
 def ia_fps_infer(

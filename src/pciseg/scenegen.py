@@ -11,6 +11,8 @@ per seed, with each scene drawing from ``seed + scene_index``.
 from __future__ import annotations
 
 import logging
+import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 
@@ -361,8 +363,20 @@ def generate(config: GenConfig) -> list[Scene]:
     return scenes
 
 
-def _read_exact(handle, size: int) -> bytes:
-    data = handle.read(size)
+def bytes_left(handle) -> int | None:
+    """Bytes between the read position of an open file and its end.
+
+    None when the handle is not a regular file (a pipe, say): its size is
+    unknown until it is read.
+    """
+    info = os.fstat(handle.fileno())
+    return info.st_size - handle.tell() if stat.S_ISREG(info.st_mode) else None
+
+
+def read_exact(handle, size: int) -> bytes:
+    """Read exactly ``size`` bytes; a size a regular file cannot hold is never allocated."""
+    left = bytes_left(handle)
+    data = handle.read(size) if left is None or size <= left else b""
     if len(data) != size:
         raise ValueError("truncated file")
     return data
@@ -383,20 +397,25 @@ def write_scene(path, scene: Scene) -> None:
 
 
 def read_scene(path) -> Scene:
-    """Parse a scene file; rejects bad magic, versions, and truncation."""
+    """Parse a scene file; any malformed file raises ``ValueError``."""
     with open(path, "rb") as f:
-        if _read_exact(f, 8) != SCENE_MAGIC:
+        if read_exact(f, 8) != SCENE_MAGIC:
             raise ValueError("not a scene file (bad magic)")
-        version, n, c, has_spp = struct.unpack("<IIII", _read_exact(f, 16))
+        version, n, c, has_spp = struct.unpack("<IIII", read_exact(f, 16))
         if version != SCENE_VERSION:
             raise ValueError(f"unsupported scene file version {version}")
-        positions = np.frombuffer(_read_exact(f, n * 24), dtype="<f8").reshape(n, 3)
-        colors = np.frombuffer(_read_exact(f, n * 24), dtype="<f8").reshape(n, 3)
-        semantic = np.frombuffer(_read_exact(f, n * 4), dtype="<i4")
-        instance = np.frombuffer(_read_exact(f, n * 4), dtype="<i4")
+        if has_spp not in (0, 1):
+            raise ValueError("superpoint flag must be 0 or 1")
+        size, left = n * (56 + 4 * has_spp), bytes_left(f)
+        if left is not None and size > left:
+            raise ValueError(f"truncated file: {n} points need {size} bytes, {left} remain")
+        positions = np.frombuffer(read_exact(f, n * 24), dtype="<f8").reshape(n, 3)
+        colors = np.frombuffer(read_exact(f, n * 24), dtype="<f8").reshape(n, 3)
+        semantic = np.frombuffer(read_exact(f, n * 4), dtype="<i4")
+        instance = np.frombuffer(read_exact(f, n * 4), dtype="<i4")
         superpoints = None
         if has_spp:
-            superpoints = np.frombuffer(_read_exact(f, n * 4), dtype="<i4")
+            superpoints = np.frombuffer(read_exact(f, n * 4), dtype="<i4")
         if f.read(1):
             raise ValueError("trailing data in scene file")
     return Scene(positions, colors, semantic, instance, num_classes=c, superpoints=superpoints)
@@ -419,18 +438,18 @@ def write_predictions(path, predictions: list, num_points: int) -> None:
 def read_predictions(path) -> tuple[list, int]:
     """Parse a prediction file back into Prediction objects plus N."""
     with open(path, "rb") as f:
-        if _read_exact(f, 8) != PRED_MAGIC:
+        if read_exact(f, 8) != PRED_MAGIC:
             raise ValueError("not a prediction file (bad magic)")
-        version, num_points, count = struct.unpack("<III", _read_exact(f, 12))
+        version, num_points, count = struct.unpack("<III", read_exact(f, 12))
         if version != PRED_VERSION:
             raise ValueError(f"unsupported prediction file version {version}")
         predictions = []
         for _ in range(count):
-            class_id = struct.unpack("<i", _read_exact(f, 4))[0]
-            score = struct.unpack("<d", _read_exact(f, 8))[0]
-            box = np.frombuffer(_read_exact(f, 48), dtype="<f8")
-            size = struct.unpack("<I", _read_exact(f, 4))[0]
-            indices = np.frombuffer(_read_exact(f, size * 8), dtype="<i8")
+            class_id = struct.unpack("<i", read_exact(f, 4))[0]
+            score = struct.unpack("<d", read_exact(f, 8))[0]
+            box = np.frombuffer(read_exact(f, 48), dtype="<f8")
+            size = struct.unpack("<I", read_exact(f, 4))[0]
+            indices = np.frombuffer(read_exact(f, size * 8), dtype="<i8")
             if indices.size and (indices.min() < 0 or indices.max() >= num_points):
                 raise ValueError("mask indices out of range")
             if np.any(np.diff(indices) <= 0):

@@ -68,23 +68,6 @@ class Assignment:
         return np.asarray([j for _, j in self.pairs], dtype=np.int64)
 
 
-def matching_cost(
-    pred_mask: np.ndarray,
-    class_probs: np.ndarray,
-    gt_mask: np.ndarray,
-    gt_class: int,
-    weights: LossWeights = LossWeights(),
-) -> float:
-    """Pairing cost: weighted dice between masks plus the class NLL."""
-    from .core import dice_loss
-
-    class_probs = np.asarray(class_probs, dtype=np.float64)
-    p = max(float(class_probs[gt_class]), LOG_EPS)
-    return weights.gamma_mask * dice_loss(pred_mask, np.asarray(gt_mask, dtype=np.float64)) - float(
-        np.log(p)
-    )
-
-
 def matching_cost_matrix(
     pred_masks: np.ndarray,
     class_probs: np.ndarray,
@@ -315,25 +298,9 @@ def pointwise_terms(
     return terms
 
 
-def pointwise_loss(
-    semantic_logits: np.ndarray,
-    point_boxes: np.ndarray,
-    scene: Scene,
-    box_weight: float = 1.0,
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Pointwise loss value and its gradients w.r.t. both inputs."""
-    logits = ad.parameter(semantic_logits)
-    boxes = ad.parameter(point_boxes)
-    terms = pointwise_terms(logits, boxes, scene, box_weight)
-    ad.backward(terms["total"])
-    grad_logits = logits.grad if logits.grad is not None else np.zeros_like(logits.value)
-    grad_boxes = boxes.grad if boxes.grad is not None else np.zeros_like(boxes.value)
-    return float(terms["total"].value), (grad_logits, grad_boxes)
-
-
 @dataclass
 class LossReport:
-    """Scalar loss terms plus gradients over the learnable parameters.
+    """Scalar loss terms of one scene.
 
     ``instance_total`` is exactly the weighted sum of the instance terms;
     ``total`` additionally includes the pointwise terms.
@@ -346,7 +313,6 @@ class LossReport:
     semantic_loss: float = 0.0
     point_box_loss: float = 0.0
     weights: LossWeights = field(default_factory=LossWeights)
-    gradients: dict | None = None
 
     def __post_init__(self):
         for name in ("cls_loss", "box_loss", "mask_loss", "ms_loss", "semantic_loss", "point_box_loss"):
@@ -367,28 +333,6 @@ class LossReport:
     @property
     def total(self) -> float:
         return self.instance_total + self.semantic_loss + self.point_box_loss
-
-    def gradient_vector(self) -> np.ndarray:
-        if self.gradients is None:
-            raise ValueError("report carries no gradients")
-        return np.concatenate([np.ravel(g) for g in self.gradients.values()])
-
-
-def instance_loss(
-    assignment: Assignment,
-    preds: InstancePredictions,
-    targets: InstanceTargets,
-    weights: LossWeights = LossWeights(),
-) -> LossReport:
-    """Instance loss of one scene as a plain report (no pointwise terms)."""
-    terms = instance_loss_terms(assignment, preds, targets, weights)
-    return LossReport(
-        cls_loss=float(terms["cls"].value),
-        box_loss=float(terms["box"].value),
-        mask_loss=float(terms["mask"].value),
-        ms_loss=float(terms["ms"].value),
-        weights=weights,
-    )
 
 
 def fd_gradient_check(

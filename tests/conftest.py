@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,20 @@ def toy_scene(positions, semantic, instance, num_classes=5, colors=None, superpo
         num_classes=num_classes,
         superpoints=superpoints,
     )
+
+
+def read_from_fifo(read, data, fifo):
+    """``read`` applied to a new named pipe at ``fifo`` that a thread fills with ``data``."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join()
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 
 
 @pytest.fixture

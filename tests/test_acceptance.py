@@ -6,7 +6,11 @@ finishes in seconds.
 """
 
 import itertools
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,6 +318,7 @@ def test_criterion_6_late_devoxelization_equivalence():
     report("criterion-6", f"early vs late expansion: max soft-mask gap {worst:.2e} over 10 scenes")
 
 
+@pytest.mark.slow
 class TestCriterion7EndToEnd:
     """Desk-scale training plus the paired box-cue ablation.
 
@@ -348,39 +353,15 @@ class TestCriterion7EndToEnd:
 
     def test_geo_cue_ablation_direction(self):
         start = time.time()
-
-        def run(seed: int, geo: str) -> float:
-            scenes = generate(
-                GenConfig(
-                    num_scenes=40,
-                    points_per_scene=512,
-                    seed=700 + seed,
-                    room_size=(3.0, 3.0),
-                    scenario_weights=(0.5, 0.2, 0.3),
-                    min_instances=2,
-                    max_instances=5,
-                )
-            )
-            tr, val = scenes[:32], scenes[32:]
-            config = PipelineConfig(
-                k_train=32,
-                stage1_budget=128,
-                chunk_sizes=(64, 42, 22),
-                learning_rate=1e-2,
-                batch_size=4,
-                epochs=30,
-                eval_every=1000,
-                geo_cue=geo,
-            )
-            model, _ = train(tr, config, seed)
-            preds = [infer(s, model, config) for s in val]
-            ap, _ = average_precision(preds, val)
-            return ap
-
-        enabled, zeroed = [], []
-        for seed in range(5):
-            enabled.append(run(seed, "on"))
-            zeroed.append(run(seed, "zero"))
+        # The ten trainings are independent and deterministic, so they run
+        # in worker processes, one single-threaded BLAS each.
+        jobs = [(seed, geo) for seed in range(5) for geo in ("on", "zero")]
+        workers = min(2, os.cpu_count() or 1)
+        with mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}):
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                aps = dict(zip(jobs, pool.map(_ablation_ap, *zip(*jobs), timeout=1800.0)))
+        enabled = [aps[seed, "on"] for seed in range(5)]
+        zeroed = [aps[seed, "zero"] for seed in range(5)]
         mean_on, mean_zero = float(np.mean(enabled)), float(np.mean(zeroed))
         assert mean_on >= mean_zero, f"geo on {mean_on:.3f} < zeroed {mean_zero:.3f}"
         report(
@@ -388,6 +369,36 @@ class TestCriterion7EndToEnd:
             f"box-cue ablation over 5 paired seeds: mean AP {mean_on:.3f} (on) >= "
             f"{mean_zero:.3f} (zeroed) in {(time.time()-start)/60:.1f} min",
         )
+
+
+def _ablation_ap(seed: int, geo: str) -> float:
+    """Criterion 7b's compact training run: validation mask AP of one model."""
+    scenes = generate(
+        GenConfig(
+            num_scenes=40,
+            points_per_scene=512,
+            seed=700 + seed,
+            room_size=(3.0, 3.0),
+            scenario_weights=(0.5, 0.2, 0.3),
+            min_instances=2,
+            max_instances=5,
+        )
+    )
+    tr, val = scenes[:32], scenes[32:]
+    config = PipelineConfig(
+        k_train=32,
+        stage1_budget=128,
+        chunk_sizes=(64, 42, 22),
+        learning_rate=1e-2,
+        batch_size=4,
+        epochs=30,
+        eval_every=1000,
+        geo_cue=geo,
+    )
+    model, _ = train(tr, config, seed)
+    preds = [infer(s, model, config) for s in val]
+    ap, _ = average_precision(preds, val)
+    return ap
 
 
 def test_criterion_8_invariant_suites():

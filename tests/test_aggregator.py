@@ -4,10 +4,9 @@ import pytest
 from pciseg.aggregator import (
     AggregatorBlock,
     CandidateHeads,
-    CandidateSet,
+    aggregate_batch,
     ball_query,
     heads,
-    local_aggregate,
     pa_stack,
 )
 from pciseg.dynconv import KernelLayout
@@ -74,8 +73,8 @@ class TestLocalAggregate:
         block = AggregatorBlock.zeros(0.5, 3, width=2)
         feats = np.array([[1.0, -2.0], [0.5, 0.5]])
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0]])
-        out = local_aggregate(block, feats, pts, 0, np.array([0, 1, 1]))
-        assert np.array_equal(out, feats[0])
+        out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[0, 1, 1]]))
+        assert np.array_equal(out.value, feats[:1])
 
     def test_hand_computed_all_ones_map(self):
         # Neighbors contribute max over relu chains of (feature + offsets/r);
@@ -84,8 +83,8 @@ class TestLocalAggregate:
         block = ones_block(radius=1.0, q=2)
         feats = np.array([[1.0], [2.0], [-1.0]])
         pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [-0.25, 0, 0]])
-        out = local_aggregate(block, feats, pts, 0, np.array([1, 2]))
-        assert out[0] == pytest.approx(3.5)
+        out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[1, 2]]))
+        assert out.value[0, 0] == pytest.approx(3.5)
 
     def test_self_neighborhood(self):
         rng = np.random.default_rng(3)
@@ -98,7 +97,7 @@ class TestLocalAggregate:
         block = AggregatorBlock(0.4, 2, layers)
         feats = rng.normal(size=(1, width))
         pts = np.zeros((1, 3))
-        out = local_aggregate(block, feats, pts, 0, np.array([0, 0]))
+        out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[0, 0]])).value[0]
         x = np.concatenate([feats[0], np.zeros(3)])
         h = np.maximum(x @ layers[0][0] + layers[0][1], 0)
         h = np.maximum(h @ layers[1][0] + layers[1][1], 0)
@@ -209,7 +208,7 @@ class TestHeads:
     def test_zero_weights(self):
         hp = KernelLayout((41, 32, 1)).param_count
         e = np.random.default_rng(0).normal(size=(3, 8))
-        cls, box, kernel, quality = heads(e, make_heads(8, 5, hp))
+        cls, box, kernel, quality = (v.value for v in heads(e, make_heads(8, 5, hp)))
         assert np.array_equal(cls, np.zeros((3, 5)))
         softplus0 = np.log(2.0)
         assert np.allclose(box[:, 3:] - box[:, :3], softplus0)
@@ -237,7 +236,7 @@ class TestHeads:
             quality_bias=head.quality_bias,
         )
         e = np.array([[1.0], [2.0]])
-        cls, _, _, _ = heads(e, head)
+        cls = heads(e, head)[0].value
         assert np.allclose(cls, [[3.0, 0.0], [5.0, 0.0]])
 
     def test_box_invariant_min_leq_max(self):
@@ -254,18 +253,6 @@ class TestHeads:
             quality_bias=rng.normal(size=1),
         )
         e = rng.normal(size=(20, 4))
-        _, box, _, _ = heads(e, head)
+        box = heads(e, head)[1].value
         assert np.all(box[:, :3] <= box[:, 3:])
 
-
-class TestCandidateSet:
-    def test_row_count_validation(self):
-        with pytest.raises(ValueError):
-            CandidateSet(
-                indices=np.array([0, 1]),
-                features=np.zeros((3, 2)),
-                class_logits=np.zeros((2, 5)),
-                boxes=np.zeros((2, 6)),
-                kernels=np.zeros((2, 41)),
-                quality=np.zeros(2),
-            )

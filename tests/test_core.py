@@ -230,5 +230,16 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="finite"):
             toy_scene([[np.nan, 0, 0]], [0], [-1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.1])
+    def test_bad_colors_rejected(self, bad):
+        colors = np.full((2, 3), 0.5)
+        colors[1, 2] = bad
+        with pytest.raises(ValueError, match="colors"):
+            toy_scene([[0, 0, 0], [1, 1, 1]], [1, 1], [0, 0], colors=colors)
+
+    def test_color_range_is_inclusive(self):
+        colors = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert toy_scene([[0, 0, 0], [1, 1, 1]], [1, 1], [0, 0], colors=colors).num_points == 2
+
     def test_binarize_strict(self):
         assert binarize(np.array([0.5, 0.500001])).tolist() == [False, True]

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from pciseg.dynconv import KernelLayout, dyn_conv_forward, geo_feature, layout_param_count, rel_pos
+from pciseg.autodiff import Var
+from pciseg.dynconv import KernelLayout, decoder_logits, layout_param_count
+from pciseg.pipeline import _decode_mask_logits
 
 # Published parameter counts for the decoder layer ablation; the flat-kernel
 # slicing must reproduce them exactly (bias on every layer except the last).
@@ -46,16 +48,48 @@ class TestLayout:
             layout.split(np.zeros(40))
 
 
+def read_channels(positions, point_boxes, cand_position, cand_box, mask_dim=1):
+    """Every decoder input channel of one candidate over all points, (N, H+9).
+
+    The production decoder runs once per channel c with a one-layer kernel
+    that has a unit weight on input c, so its logit is channel c itself:
+    mask features (zero here), then the offset from the candidate, then
+    the box difference.
+    """
+    n, width = positions.shape[0], mask_dim + 9
+    logits = _decode_mask_logits(
+        Var(np.zeros((n, mask_dim))),
+        np.asarray(positions, dtype=float),
+        Var(np.asarray(point_boxes, dtype=float)),
+        np.tile(np.asarray(cand_position, dtype=float), (width, 1)),
+        Var(np.tile(np.asarray(cand_box, dtype=float), (width, 1))),
+        Var(np.eye(width)),
+        KernelLayout((width, 1)),
+        "on",
+    )
+    return logits.value.T
+
+
+def geo_channels(point_boxes, cand_box):
+    point_boxes = np.asarray(point_boxes, dtype=float)
+    return read_channels(np.zeros((point_boxes.shape[0], 3)), point_boxes, np.zeros(3), cand_box)[:, 4:]
+
+
+def pos_channels(positions, cand_position):
+    positions = np.asarray(positions, dtype=float)
+    return read_channels(positions, np.zeros((positions.shape[0], 6)), cand_position, np.zeros(6))[:, 1:4]
+
+
 class TestGeoFeature:
     def test_matching_box_gives_zeros(self):
         box = np.array([0.0, 0, 0, 1, 1, 1])
-        out = geo_feature(box[None], box)
+        out = geo_channels(box[None], box)
         assert np.array_equal(out, np.zeros((1, 6)))
 
     def test_single_component_difference(self):
         point_box = np.array([[0.0, 0, 0, 1, 1, 1]])
         cand = np.array([0.0, 0, 0, 2, 1, 1])
-        assert np.array_equal(geo_feature(point_box, cand), [[0, 0, 0, 1, 0, 0]])
+        assert np.array_equal(geo_channels(point_box, cand), [[0, 0, 0, 1, 0, 0]])
 
     def test_random_boxes_match_elementwise_oracle(self):
         rng = np.random.default_rng(2)
@@ -65,38 +99,41 @@ class TestGeoFeature:
         for i in range(20):
             for c in range(6):
                 expected[i, c] = abs(pts[i, c] - cand[c])
-        assert np.allclose(geo_feature(pts, cand), expected)
+        assert np.allclose(geo_channels(pts, cand), expected)
 
 
 class TestRelPos:
     def test_point_at_candidate(self):
-        out = rel_pos(np.array([[1.0, 2, 3]]), np.array([1.0, 2, 3]))
+        out = pos_channels(np.array([[1.0, 2, 3]]), np.array([1.0, 2, 3]))
         assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_candidate_at_origin_is_identity(self):
         pts = np.random.default_rng(0).normal(size=(5, 3))
-        assert np.array_equal(rel_pos(pts, np.zeros(3)), pts)
+        assert np.array_equal(pos_channels(pts, np.zeros(3)), pts)
 
     def test_translation_invariance(self):
         pts = np.random.default_rng(1).normal(size=(5, 3))
         shift = np.array([3.0, -2.0, 0.5])
-        assert np.allclose(rel_pos(pts, pts[0]), rel_pos(pts + shift, pts[0] + shift))
+        assert np.allclose(pos_channels(pts, pts[0]), pos_channels(pts + shift, pts[0] + shift))
+
+
+def soft_mask(inputs, kernel, layout):
+    """One candidate's soft mask from its (N, c_0) decoder inputs."""
+    return expit(decoder_logits(Var(inputs[None]), Var(kernel[None]), layout).value[0])
 
 
 def single_layer_inputs(geo_values):
-    n = len(geo_values)
-    f_mask = np.zeros((n, 32))
-    f_pos = np.zeros((n, 3))
-    f_geo = np.zeros((n, 6))
-    f_geo[:, 0] = geo_values
-    return f_mask, f_pos, f_geo
+    """Decoder inputs of width 41 (32 mask, 3 position, 6 box dims), zero
+    except for the first box-difference channel."""
+    inputs = np.zeros((len(geo_values), 41))
+    inputs[:, 35] = geo_values
+    return inputs
 
 
 class TestForward:
     def test_zero_kernel_gives_half(self):
         layout = KernelLayout((41, 32, 1))
-        f_mask, f_pos, f_geo = single_layer_inputs([0.3, 1.2])
-        out = dyn_conv_forward(f_mask, f_pos, f_geo, np.zeros(layout.param_count), layout)
+        out = soft_mask(single_layer_inputs([0.3, 1.2]), np.zeros(layout.param_count), layout)
         assert np.allclose(out, 0.5)
 
     def test_geo_channel_detector(self):
@@ -105,8 +142,13 @@ class TestForward:
         layout = KernelLayout((41, 1))
         kernel = np.zeros(41)
         kernel[35] = 1.0  # geo channel 0 sits after 32 mask + 3 position dims
-        f_mask, f_pos, f_geo = single_layer_inputs([0.0, np.log(3.0)])
-        out = dyn_conv_forward(f_mask, f_pos, f_geo, kernel, layout)
+        point_boxes = np.zeros((2, 6))
+        point_boxes[:, 0] = [0.0, np.log(3.0)]
+        logits = _decode_mask_logits(
+            Var(np.zeros((2, 32))), np.zeros((2, 3)), Var(point_boxes), np.zeros((1, 3)),
+            Var(np.zeros((1, 6))), Var(kernel[None]), layout, "on",
+        )
+        out = expit(logits.value[0])
         assert out[0] == pytest.approx(0.5)
         assert out[1] == pytest.approx(0.75)
 
@@ -114,12 +156,10 @@ class TestForward:
         rng = np.random.default_rng(5)
         layout = KernelLayout((41, 16, 1))
         kernel = rng.normal(size=layout.param_count)
-        f_mask = rng.normal(size=(10, 32))
-        f_pos = rng.normal(size=(10, 3))
-        f_geo = rng.normal(size=(10, 6))
-        out = dyn_conv_forward(f_mask, f_pos, f_geo, kernel, layout)
+        inputs = rng.normal(size=(10, 41))
+        out = soft_mask(inputs, kernel, layout)
         perm = rng.permutation(10)
-        out_p = dyn_conv_forward(f_mask[perm], f_pos[perm], f_geo[perm], kernel, layout)
+        out_p = soft_mask(inputs[perm], kernel, layout)
         assert np.allclose(out[perm], out_p)
 
     def test_matches_straight_line_oracle(self):
@@ -127,11 +167,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         layout = KernelLayout((41, 16, 1))
         kernel = rng.normal(size=layout.param_count)
-        f_mask = rng.normal(size=(6, 32))
-        f_pos = rng.normal(size=(6, 3))
-        f_geo = rng.normal(size=(6, 6))
-        out = dyn_conv_forward(f_mask, f_pos, f_geo, kernel, layout)
-        x = np.concatenate([f_mask, f_pos, f_geo], axis=1)
+        x = rng.normal(size=(6, 41))
+        out = soft_mask(x, kernel, layout)
         w0 = kernel[: 41 * 16].reshape(41, 16)
         b0 = kernel[41 * 16 : 41 * 16 + 16]
         w1 = kernel[41 * 16 + 16 :].reshape(16, 1)
@@ -140,9 +177,8 @@ class TestForward:
 
     def test_kernel_length_mismatch(self):
         layout = KernelLayout((41, 1))
-        f_mask, f_pos, f_geo = single_layer_inputs([0.0])
         with pytest.raises(ValueError):
-            dyn_conv_forward(f_mask, f_pos, f_geo, np.zeros(40), layout)
+            soft_mask(single_layer_inputs([0.0]), np.zeros(40), layout)
 
     def test_box_aware_separation(self):
         # Same mask features and positions, different candidate boxes: a
@@ -163,14 +199,14 @@ class TestForward:
         kernel[spec[1][0]] = w1.ravel()
 
         n = 4
-        f_mask = np.zeros((n, 32))
-        f_pos = np.zeros((n, 3))
         point_boxes = np.zeros((n, 6))
         point_boxes[:2, 3] = 1.0  # first two points predict one box
         point_boxes[2:, 3] = 3.0  # last two predict another
-        cand_a = np.array([0.0, 0, 0, 1.0, 0, 0])
-        cand_b = np.array([0.0, 0, 0, 3.0, 0, 0])
-        out_a = dyn_conv_forward(f_mask, f_pos, geo_feature(point_boxes, cand_a), kernel, layout)
-        out_b = dyn_conv_forward(f_mask, f_pos, geo_feature(point_boxes, cand_b), kernel, layout)
+        cand_boxes = np.array([[0.0, 0, 0, 1.0, 0, 0], [0.0, 0, 0, 3.0, 0, 0]])
+        logits = _decode_mask_logits(
+            Var(np.zeros((n, 32))), np.zeros((n, 3)), Var(point_boxes), np.zeros((2, 3)),
+            Var(cand_boxes), Var(np.tile(kernel, (2, 1))), layout, "on",
+        )
+        out_a, out_b = expit(logits.value)
         assert np.all((out_a > 0.5) == [True, True, False, False])
         assert np.all((out_b > 0.5) == [False, False, True, True])

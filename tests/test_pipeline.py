@@ -1,25 +1,30 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from pciseg import autodiff as ad
 from pciseg.core import mask_iou
 from pciseg.pipeline import (
+    MODEL_MAGIC,
     ModelParams,
     PipelineConfig,
     RmsProp,
+    _forward_pointwise,
     default_config_for,
-    encode,
     infer,
     load_model,
     nms,
     pointwise_predict,
     save_model,
-    scene_loss_report,
+    scene_loss,
     superpoint_align,
     train,
 )
 from pciseg.scenegen import GenConfig, generate
 
-from conftest import toy_scene
+from conftest import needs_fifo, read_from_fifo, toy_scene
 
 
 def tiny_config(**kwargs):
@@ -96,7 +101,7 @@ class TestEncode:
         model = ModelParams.initialize(config, 3)
         pts = np.array([[0.5, 0.5, 0.5]] * 2 + [[1.0, 0.2, 0.0], [0.1, 0.9, 0.4]])
         scene = toy_scene(pts, [1] * 4, [0] * 4)
-        feats = encode(scene, model, config)
+        feats = _forward_pointwise(scene, model.as_vars(), config, None)[0].value
         assert np.array_equal(feats[0], feats[1])
 
     def test_zero_weights_zero_features(self):
@@ -106,7 +111,8 @@ class TestEncode:
             if name.startswith("enc."):
                 model.params[name] = np.zeros_like(model.params[name])
         scene = toy_scene(np.random.default_rng(0).uniform(0, 1, (6, 3)), [1] * 6, [0] * 6)
-        assert np.array_equal(encode(scene, model, config), np.zeros((6, config.d_model)))
+        feats = _forward_pointwise(scene, model.as_vars(), config, None)[0].value
+        assert np.array_equal(feats, np.zeros((6, config.d_model)))
 
     def test_early_late_devoxelization_identical(self, two_cluster_scene):
         config_early = tiny_config(voxel_size=0.08, devoxelization="early")
@@ -292,9 +298,11 @@ class TestTraining:
     def test_gradient_report(self, two_cluster_scene):
         config = tiny_config()
         model = ModelParams.initialize(config, 7)
-        report = scene_loss_report(two_cluster_scene, model, config)
-        assert report.gradients is not None
-        vector = report.gradient_vector()
+        leaves = model.as_vars(trainable=True)
+        total, _ = scene_loss(two_cluster_scene, leaves, config)
+        ad.backward(total)
+        grads = [np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad for leaf in leaves.values()]
+        vector = np.concatenate([g.ravel() for g in grads])
         assert vector.shape == (model.num_parameters(),)
         assert np.all(np.isfinite(vector))
         assert np.any(vector != 0.0)
@@ -312,6 +320,15 @@ class TestSerialization:
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
 
+    @needs_fifo
+    def test_reads_from_a_pipe(self, tmp_path):
+        model = ModelParams.initialize(tiny_config(), 11)
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        loaded = read_from_fifo(load_model, path.read_bytes(), tmp_path / "pipe")
+        for name in model.params:
+            assert np.array_equal(loaded.params[name], model.params[name])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 16)
@@ -326,6 +343,99 @@ class TestSerialization:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    @staticmethod
+    def write_raw(path, header, payload=b"", length=None):
+        blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+        length = len(blob) if length is None else length
+        path.write_bytes(MODEL_MAGIC + struct.pack("<I", length) + blob + payload)
+
+    @staticmethod
+    def saved_header(tmp_path):
+        model = ModelParams.initialize(tiny_config(), 11)
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        data = path.read_bytes()
+        (length,) = struct.unpack("<I", data[8:12])
+        return json.loads(data[12 : 12 + length]), data[12 + length :]
+
+    def test_short_length_field(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(MODEL_MAGIC + b"\x10\x00")
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    def test_header_length_beyond_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        self.write_raw(path, {"version": 1}, length=2**32 - 1)
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe", b"{not json", b"[1, 2]", b"null"])
+    def test_header_not_a_json_object(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        self.write_raw(path, header)
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["params", "d_model", "mask_dim", "num_classes", "layout_dims"])
+    def test_missing_header_field(self, tmp_path, key):
+        header, payload = self.saved_header(tmp_path)
+        del header[key]
+        path = tmp_path / "bad.bin"
+        self.write_raw(path, header, payload)
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d_model", "8"),
+            ("d_model", 8.0),
+            ("d_model", True),
+            ("mask_dim", 0),
+            ("num_classes", 1),
+            ("layout_dims", []),
+            ("layout_dims", [13]),
+            ("layout_dims", [14, 8, 1]),
+            ("layout_dims", [13, 8, 2]),
+            ("layout_dims", "13,8,1"),
+        ],
+    )
+    def test_malformed_structure(self, tmp_path, field, value):
+        header, payload = self.saved_header(tmp_path)
+        header[field] = value
+        path = tmp_path / "bad.bin"
+        self.write_raw(path, header, payload)
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_parameters_checked_against_structure(self, tmp_path):
+        header, payload = self.saved_header(tmp_path)
+        cases = []
+        swapped = [dict(spec) for spec in header["params"]]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        cases.append(swapped)
+        renamed = [dict(spec) for spec in header["params"]]
+        renamed[3]["name"] = "enc.bogus"
+        cases.append(renamed)
+        reshaped = [dict(spec) for spec in header["params"]]
+        reshaped[0]["shape"] = list(reversed(reshaped[0]["shape"]))
+        cases.append(reshaped)
+        cases.append(header["params"][:-1])
+        cases.append(header["params"] + [{"name": "extra", "shape": [1]}])
+        path = tmp_path / "bad.bin"
+        for params in cases:
+            self.write_raw(path, header | {"params": params}, payload)
+            with pytest.raises(ValueError, match="parameters"):
+                load_model(path)
+
+    def test_trailing_data(self, tmp_path):
+        header, payload = self.saved_header(tmp_path)
+        path = tmp_path / "bad.bin"
+        self.write_raw(path, header, payload + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
             load_model(path)
 
     def test_default_config_for_roundtrip(self, tmp_path):

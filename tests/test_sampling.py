@@ -8,7 +8,6 @@ from pciseg.sampling import (
     SampleBudget,
     fps,
     ia_fps_infer,
-    ia_fps_train,
     instance_recall,
     oracle_background,
     oracle_mask_provider,
@@ -87,29 +86,34 @@ class TestFps:
 
 
 class TestIaFpsTrain:
+    """Training-time sampling: farthest points among the predicted foreground."""
+
     def test_all_foreground_equals_plain_fps(self):
         pts = line_points()
         state = OccupancyState(np.zeros(10))
-        assert np.array_equal(ia_fps_train(state, pts, 4), fps(pts, 4))
+        assert np.array_equal(fps(pts, 4, candidate_filter=state.foreground()), fps(pts, 4))
 
     def test_all_background_errors(self):
         state = OccupancyState(np.ones(10))
-        with pytest.raises(ValueError, match="no foreground"):
-            ia_fps_train(state, line_points(), 4)
+        with pytest.raises(ValueError, match="budget"):
+            fps(line_points(), 1, candidate_filter=state.foreground())
 
     def test_filter_then_exhaust(self):
         background = np.full(10, 0.9)
         background[[1, 3, 6, 7]] = 0.4
         state = OccupancyState(background)
-        out = ia_fps_train(state, line_points(), 4)
+        out = fps(line_points(), 4, candidate_filter=state.foreground())
         assert sorted(out.tolist()) == [1, 3, 6, 7]
 
     def test_shortfall_returns_all_foreground(self):
         background = np.full(10, 0.9)
         background[[2, 5]] = 0.0
         state = OccupancyState(background)
-        out = ia_fps_train(state, line_points(), 8)
+        fg = state.foreground()
+        out = fps(line_points(), min(8, int(fg.sum())), candidate_filter=fg)
         assert sorted(out.tolist()) == [2, 5]
+        with pytest.raises(ValueError, match="budget too large"):
+            fps(line_points(), 8, candidate_filter=fg)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 5000), st.integers(1, 25))
@@ -121,9 +125,9 @@ class TestIaFpsTrain:
         fg = np.flatnonzero(state.foreground())
         if fg.size == 0:
             with pytest.raises(ValueError):
-                ia_fps_train(state, pts, k)
+                fps(pts, min(k, fg.size), candidate_filter=state.foreground())
             return
-        out = ia_fps_train(state, pts, k)
+        out = fps(pts, min(k, fg.size), candidate_filter=state.foreground())
         assert len(set(out.tolist())) == len(out)
         assert set(out.tolist()) <= set(fg.tolist())
         assert len(out) == min(k, fg.size)
@@ -136,7 +140,7 @@ class TestIaFpsInfer:
         state = OccupancyState(np.zeros(30))
         provider = lambda idx: np.zeros((len(idx), 30))
         chunked = ia_fps_infer(state, pts, SampleBudget((4, 3, 3)), provider)
-        single = ia_fps_train(OccupancyState(np.zeros(30)), pts, 10)
+        single = fps(pts, 10, candidate_filter=OccupancyState(np.zeros(30)).foreground())
         assert np.array_equal(chunked, single)
 
     def test_claimed_cluster_excluded_from_next_chunk(self):

@@ -13,6 +13,8 @@ from pciseg.scenegen import (
     write_scene,
 )
 
+from conftest import needs_fifo, read_from_fifo
+
 
 def small_config(**kwargs):
     defaults = dict(num_scenes=3, points_per_scene=512, seed=5)
@@ -125,6 +127,31 @@ class TestSceneIo:
         with pytest.raises(ValueError, match="version 99"):
             read_scene(path)
 
+    @pytest.mark.parametrize("n,has_spp", [(2**31, 1), (2**32 - 1, 0), (513, 1), (511, 1), (512, 0)])
+    def test_header_size_checked_before_reading(self, tmp_path, n, has_spp):
+        # The file holds 512 points with superpoints; any other N, or a
+        # dropped superpoint flag, disagrees with the bytes left.
+        scene = generate(small_config(num_scenes=1))[0]
+        assert scene.num_points == 512 and scene.superpoints is not None
+        path = tmp_path / "scene.scene"
+        write_scene(path, scene)
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<I", n)
+        data[20:24] = struct.pack("<I", has_spp)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="truncated|trailing"):
+            read_scene(path)
+
+    def test_superpoint_flag_must_be_boolean(self, tmp_path):
+        scene = generate(small_config(num_scenes=1))[0]
+        path = tmp_path / "scene.scene"
+        write_scene(path, scene)
+        data = bytearray(path.read_bytes())
+        data[20:24] = struct.pack("<I", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="superpoint flag"):
+            read_scene(path)
+
     def test_trailing_data_rejected(self, tmp_path):
         scene = generate(small_config(num_scenes=1))[0]
         path = tmp_path / "scene.scene"
@@ -133,6 +160,20 @@ class TestSceneIo:
             f.write(b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             read_scene(path)
+
+    @needs_fifo
+    def test_reads_from_a_pipe(self, tmp_path):
+        # A pipe has no size up front; it is read as a stream.
+        scene = generate(small_config(num_scenes=1))[0]
+        path = tmp_path / "scene.scene"
+        write_scene(path, scene)
+        data = path.read_bytes()
+        loaded = read_from_fifo(read_scene, data, tmp_path / "whole")
+        assert np.array_equal(loaded.positions, scene.positions)
+        with pytest.raises(ValueError, match="truncated"):
+            read_from_fifo(read_scene, data[:-4], tmp_path / "short")
+        with pytest.raises(ValueError, match="trailing"):
+            read_from_fifo(read_scene, data + b"\x00", tmp_path / "long")
 
 
 def make_prediction(n, idx, class_id=1, score=0.5):

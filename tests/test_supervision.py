@@ -6,9 +6,10 @@ from scipy.special import expit, logit
 
 from pciseg import autodiff as ad
 from pciseg.autodiff import Var
-from pciseg.core import aabb_giou, Aabb, mask_iou, binarize
+from pciseg.core import aabb_giou, Aabb, dice_loss, mask_iou, binarize
 from pciseg.dynconv import KernelLayout, decoder_logits
 from pciseg.supervision import (
+    LOG_EPS,
     Assignment,
     InstancePredictions,
     InstanceTargets,
@@ -20,13 +21,11 @@ from pciseg.supervision import (
     cross_entropy,
     dice_term,
     fd_gradient_check,
-    instance_loss,
     instance_loss_terms,
     mask_scoring,
-    matching_cost,
     matching_cost_matrix,
     one_to_many_match,
-    pointwise_loss,
+    pointwise_terms,
 )
 
 from conftest import toy_scene
@@ -49,22 +48,37 @@ def assignment_cost(assignment, cost):
     return sum(cost[k, j] for k, j in assignment.pairs)
 
 
+def matching_cost(pred_mask, class_probs, gt_mask, gt_class, weights=LossWeights()):
+    """Scalar pairing cost, the reference for the batched matrix: weighted
+    dice between masks plus the class negative log-likelihood."""
+    p = max(float(class_probs[gt_class]), LOG_EPS)
+    dice = dice_loss(pred_mask, np.asarray(gt_mask, dtype=np.float64))
+    return weights.gamma_mask * dice - float(np.log(p))
+
+
+def pair_cost(pred_mask, class_probs, gt_mask, gt_class, weights=LossWeights()):
+    """Production cost matrix for a single prediction/ground-truth pair."""
+    return matching_cost_matrix(
+        pred_mask[None], class_probs[None], np.asarray(gt_mask)[None], np.array([gt_class]), weights
+    )[0, 0]
+
+
 class TestMatchingCost:
     def test_exact_mask_confident_class(self):
         mask = np.array([1.0, 0.0, 1.0])
         probs = np.array([0.0, 1.0, 0.0])
-        assert matching_cost(mask, probs, mask > 0, 1) == pytest.approx(0.0, abs=1e-9)
+        assert pair_cost(mask, probs, mask > 0, 1) == pytest.approx(0.0, abs=1e-9)
 
     def test_disjoint_mask_costs_gamma(self):
         pred = np.array([1.0, 0.0])
         gt = np.array([False, True])
         probs = np.array([1.0, 0.0])
-        assert matching_cost(pred, probs, gt, 0, LossWeights(gamma_mask=5.0)) == pytest.approx(5.0)
+        assert pair_cost(pred, probs, gt, 0, LossWeights(gamma_mask=5.0)) == pytest.approx(5.0)
 
     def test_uniform_class_distribution(self):
         mask = np.array([1.0, 0.0])
         probs = np.full(4, 0.25)
-        value = matching_cost(mask, probs, mask > 0, 2)
+        value = pair_cost(mask, probs, mask > 0, 2)
         assert value == pytest.approx(-np.log(0.25))
         assert value == pytest.approx(1.3863, abs=1e-4)
 
@@ -148,8 +162,8 @@ class TestInstanceLoss:
     def test_perfect_prediction_zero_loss(self):
         preds = perfect_predictions(self.gt_masks, self.gt_classes, self.gt_boxes, 4)
         assignment = Assignment(((0, 0), (1, 1)), (), 1)
-        report = instance_loss(assignment, preds, self.targets, LossWeights())
-        assert report.total == pytest.approx(0.0, abs=1e-8)
+        terms = instance_loss_terms(assignment, preds, self.targets, LossWeights())
+        assert float(terms["total"].value) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_pair_dice_half_plus_bce(self):
         # One matched candidate over 4 points: gt {1,1,0,0} with probs 0.5
@@ -171,9 +185,9 @@ class TestInstanceLoss:
         preds = InstancePredictions(masks, cls, boxes, quality)
         targets = InstanceTargets(gt[None], np.array([0]), boxes)
         weights = LossWeights(lambda_box=0.0, lambda_mask=5.0, lambda_ms=0.0)
-        report = instance_loss(Assignment(((0, 0),), (), 1), preds, targets, weights)
-        assert report.mask_loss == pytest.approx(dice + bce, abs=1e-9)
-        assert report.total == pytest.approx(5.0 * (dice + bce), abs=1e-7)
+        terms = instance_loss_terms(Assignment(((0, 0),), (), 1), preds, targets, weights)
+        assert float(terms["mask"].value) == pytest.approx(dice + bce, abs=1e-9)
+        assert float(terms["total"].value) == pytest.approx(5.0 * (dice + bce), abs=1e-7)
 
     def test_box_term_example(self):
         # L1 sums the six coordinate gaps (1.0); IoU 1/2 with a zero hull
@@ -187,11 +201,11 @@ class TestInstanceLoss:
     def test_unmatched_only_keeps_cls_term(self):
         preds = perfect_predictions(self.gt_masks, self.gt_classes, self.gt_boxes, 4)
         assignment = Assignment((), (0, 1), 1)
-        report = instance_loss(assignment, preds, self.targets, LossWeights())
-        assert report.mask_loss == 0.0
-        assert report.box_loss == 0.0
-        assert report.ms_loss == 0.0
-        assert report.cls_loss > 0.0
+        terms = instance_loss_terms(assignment, preds, self.targets, LossWeights())
+        assert float(terms["mask"].value) == 0.0
+        assert float(terms["box"].value) == 0.0
+        assert float(terms["ms"].value) == 0.0
+        assert float(terms["cls"].value) > 0.0
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(11)
@@ -235,20 +249,22 @@ class TestPointwiseLoss:
         logits = np.full((8, 3), -40.0)
         logits[:, 1] = 40.0
         boxes = np.tile(np.array([0.0, 0, 0, 1.0, 1.0, 1.0]), (8, 1))
-        value, _ = pointwise_loss(logits, boxes, scene)
-        assert value == pytest.approx(0.0, abs=1e-9)
+        terms = pointwise_terms(Var(logits), Var(boxes), scene)
+        assert float(terms["total"].value) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_logits_cross_entropy(self):
         scene = toy_scene([[0.0, 0, 0], [1.0, 0, 0]], [0, 0], [-1, -1], num_classes=4)
-        value, _ = pointwise_loss(np.zeros((2, 4)), np.zeros((2, 6)), scene)
-        assert value == pytest.approx(np.log(4.0))
+        terms = pointwise_terms(Var(np.zeros((2, 4))), Var(np.zeros((2, 6))), scene)
+        assert float(terms["total"].value) == pytest.approx(np.log(4.0))
 
     def test_background_only_scene_has_zero_box_term(self):
         scene = toy_scene([[0.0, 0, 0]], [0], [-1], num_classes=2)
-        logits = np.zeros((1, 2))
-        value, (grad_logits, grad_boxes) = pointwise_loss(logits, np.zeros((1, 6)), scene)
-        assert value == pytest.approx(np.log(2.0))
-        assert np.array_equal(grad_boxes, np.zeros((1, 6)))
+        logits, boxes = ad.parameter(np.zeros((1, 2))), ad.parameter(np.zeros((1, 6)))
+        total = pointwise_terms(logits, boxes, scene)["total"]
+        ad.backward(total)
+        assert float(total.value) == pytest.approx(np.log(2.0))
+        assert logits.grad is not None
+        assert boxes.grad is None  # the box term never reads the boxes
 
 
 class TestGradientChecks:
@@ -347,6 +363,6 @@ class TestInstanceTargets:
             expit(preds.mask_logits), np.full((k, 5), 0.2), targets.masks, targets.classes
         )
         assignment = one_to_many_match(costs, 2)
-        report = instance_loss(assignment, preds, targets)
         terms = instance_loss_terms(assignment, preds, targets)
+        report = LossReport(*(float(terms[key].value) for key in ("cls", "box", "mask", "ms")))
         assert report.instance_total == pytest.approx(float(terms["total"].value))
