@@ -16,7 +16,6 @@ from .core import (
     aabb_giou,
     aabb_iou,
     binarize,
-    devoxelize_late,
     dice_loss,
     mask_iou,
     voxelize,
@@ -31,7 +30,6 @@ __all__ = [
     "aabb_giou",
     "aabb_iou",
     "binarize",
-    "devoxelize_late",
     "dice_loss",
     "mask_iou",
     "voxelize",

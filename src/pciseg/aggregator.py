@@ -11,7 +11,6 @@ scalar per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -88,19 +87,6 @@ class AggregatorBlock:
             if ad.value_of(w).shape != (c_in, c_out) or ad.value_of(b).shape != (c_out,):
                 raise ValueError(f"layer shapes must follow ({d}+3)->{d}->{d}->{d}")
 
-    @property
-    def width(self) -> int:
-        return ad.value_of(self.layers[0][0]).shape[1]
-
-    @classmethod
-    def zeros(cls, radius: float, num_neighbors: int, width: int) -> "AggregatorBlock":
-        layers = (
-            (np.zeros((width + 3, width)), np.zeros(width)),
-            (np.zeros((width, width)), np.zeros(width)),
-            (np.zeros((width, width)), np.zeros(width)),
-        )
-        return cls(radius, num_neighbors, layers)
-
 
 def _shared_map(block: AggregatorBlock, x: Var) -> Var:
     h = x
@@ -138,70 +124,6 @@ def aggregate_batch(
     return ad.add(features[centers], pooled)
 
 
-def _local_indices(superset: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    lookup = {int(g): i for i, g in enumerate(superset)}
-    try:
-        return np.asarray([lookup[int(g)] for g in subset], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError("stage indices must nest: every later stage index "
-                         "must appear in the previous stage") from exc
-
-
-def pa_stack(
-    features: np.ndarray,
-    positions: np.ndarray,
-    stages: Sequence[np.ndarray],
-    blocks: Sequence[AggregatorBlock],
-) -> np.ndarray:
-    """Run stacked aggregation blocks over nested sample stages.
-
-    Block t aggregates at the stage-t samples over the previous stage's
-    point set (the raw scene for the first block). Later stages must be
-    subsets of earlier ones. Takes and returns plain arrays: the final
-    stage's features.
-    """
-    if len(stages) != len(blocks):
-        raise ValueError("one sample stage per block")
-    if any(len(s) == 0 for s in stages):
-        raise ValueError("empty sample stage")
-    feats = Var(features)
-    source_idx = np.arange(np.asarray(positions).shape[0], dtype=np.int64)
-    source_pos = np.asarray(positions, dtype=np.float64)
-    for block, stage in zip(blocks, stages):
-        stage = np.asarray(stage, dtype=np.int64)
-        local_centers = _local_indices(source_idx, stage)
-        neighbors = ball_query(
-            source_pos,
-            source_pos[local_centers],
-            block.radius,
-            block.num_neighbors,
-            center_indices=local_centers,
-        )
-        feats = aggregate_batch(block, feats, source_pos, local_centers, neighbors)
-        source_idx = stage
-        source_pos = source_pos[local_centers]
-    return feats.value
-
-
-@dataclass(frozen=True)
-class CandidateHeads:
-    """Affine heads mapping candidate features to predictions.
-
-    Boxes are emitted as a 3-D center plus softplus-positive sizes so the
-    min corner never exceeds the max corner. The quality head is a single
-    raw logit later squashed into a mask-confidence score.
-    """
-
-    cls_weight: object
-    cls_bias: object
-    box_weight: object
-    box_bias: object
-    kernel_weight: object
-    kernel_bias: object
-    quality_weight: object
-    quality_bias: object
-
-
 def box_from_raw(raw: Var) -> Var:
     """(..., 6) raw head output -> (..., 6) min/max-corner boxes."""
     center = raw[..., :3]
@@ -210,19 +132,22 @@ def box_from_raw(raw: Var) -> Var:
     return ad.concat([ad.sub(center, half), ad.add(center, half)], axis=-1)
 
 
-def heads(candidate_features, head_params: CandidateHeads):
+def heads(candidate_features, p: dict):
     """Class logits, boxes, flat kernels, and quality logits per candidate.
 
+    Reads the affine heads' weights and biases from the ``head.*`` entries
+    of a parameter dict. Boxes are min/max corners (:func:`box_from_raw`);
+    quality is a raw logit, squashed later into a mask-confidence score.
     Returns tape variables (L, B, W, q) with shapes (K, C), (K, 6), (K, H'),
     (K,).
     """
     e = as_var(candidate_features)
-    cls = ad.add(ad.matmul(e, as_var(head_params.cls_weight)), as_var(head_params.cls_bias))
-    raw_box = ad.add(ad.matmul(e, as_var(head_params.box_weight)), as_var(head_params.box_bias))
-    box = box_from_raw(raw_box)
-    kernel = ad.add(ad.matmul(e, as_var(head_params.kernel_weight)), as_var(head_params.kernel_bias))
-    quality = ad.reshape(
-        ad.add(ad.matmul(e, as_var(head_params.quality_weight)), as_var(head_params.quality_bias)),
-        (e.shape[0],),
-    )
+
+    def affine(name: str) -> Var:
+        return ad.add(ad.matmul(e, as_var(p[f"head.{name}_w"])), as_var(p[f"head.{name}_b"]))
+
+    cls = affine("cls")
+    box = box_from_raw(affine("box"))
+    kernel = affine("ker")
+    quality = ad.reshape(affine("q"), (e.shape[0],))
     return cls, box, kernel, quality

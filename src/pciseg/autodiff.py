@@ -210,7 +210,9 @@ def relu(x) -> Var:
 
 def absolute(x) -> Var:
     x = as_var(x)
-    record(np.sign(x.value))
+    if _signature_sink is not None:
+        record(np.sign(x.value))
+    # The vjp recomputes the sign: keeping it alive beside the output costs memory.
     return _make(np.abs(x.value), (x,), lambda g: (g * np.sign(x.value),))
 
 

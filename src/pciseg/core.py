@@ -259,18 +259,6 @@ def voxelize(scene: Scene, voxel_size: float = 0.02) -> VoxelMap:
     return VoxelMap(voxel_size, inverse, int(inverse.max()) + 1)
 
 
-def devoxelize_late(voxel_features: np.ndarray, vmap: VoxelMap) -> np.ndarray:
-    """Expand per-voxel feature rows back to per-point rows."""
-    voxel_features = np.asarray(voxel_features)
-    if voxel_features.ndim != 2:
-        raise ValueError("voxel features must be (V, D)")
-    if voxel_features.shape[0] != vmap.num_voxels:
-        raise ValueError(
-            f"feature rows ({voxel_features.shape[0]}) do not match voxel count ({vmap.num_voxels})"
-        )
-    return voxel_features[vmap.point_to_voxel]
-
-
 @dataclass(frozen=True)
 class Prediction:
     """One predicted instance: binary mask, class, box, and confidence."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Var
 
@@ -65,38 +63,6 @@ class KernelLayout:
                 offset += c_out
             out.append((w, b, (c_in, c_out)))
         return out
-
-    def split(self, kernel: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Slice a flat kernel into per-layer (weight, bias) arrays."""
-        kernel = np.asarray(kernel, dtype=np.float64)
-        if kernel.shape != (self.param_count,):
-            raise ValueError(f"kernel length {kernel.shape} does not match layout ({self.param_count})")
-        layers = []
-        for w, b, (c_in, c_out) in self.slices():
-            layers.append((kernel[w].reshape(c_in, c_out), None if b is None else kernel[b]))
-        return layers
-
-    def flatten(self, layers) -> np.ndarray:
-        """Inverse of :meth:`split`; round-trips exactly."""
-        parts = []
-        for (weight, bias), (_, b, (c_in, c_out)) in zip(layers, self.slices()):
-            weight = np.asarray(weight, dtype=np.float64)
-            if weight.shape != (c_in, c_out):
-                raise ValueError("layer weight shape mismatch")
-            parts.append(weight.reshape(-1))
-            if b is not None:
-                bias = np.asarray(bias, dtype=np.float64)
-                if bias.shape != (c_out,):
-                    raise ValueError("layer bias shape mismatch")
-                parts.append(bias)
-            elif bias is not None:
-                raise ValueError("final layer carries no bias")
-        return np.concatenate(parts)
-
-
-def layout_param_count(dims) -> int:
-    """Flat parameter count for the given channel widths."""
-    return KernelLayout(tuple(dims)).param_count
 
 
 def decoder_logits(inputs: Var, kernels: Var, layout: KernelLayout) -> Var:

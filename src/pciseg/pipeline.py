@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from . import autodiff as ad
-from .aggregator import AggregatorBlock, CandidateHeads, aggregate_batch, ball_query, box_from_raw, heads
+from .aggregator import AggregatorBlock, aggregate_batch, ball_query, box_from_raw, heads
 from .autodiff import Var
 from .core import Aabb, Prediction, Scene, binarize, mask_iou, voxelize
 from .dynconv import KernelLayout, decoder_logits
@@ -56,7 +56,7 @@ class PipelineConfig:
     d_model: int = 32
     mask_dim: int = 32
     layout_dims: tuple[int, ...] = (41, 32, 1)
-    geo_cue: str = "on"  # "on" | "zero" (features zeroed) | "off" (channels removed)
+    geo_cue: str = "on"  # "on" | "zero" (box-difference features zeroed)
     tau: float = 0.5
     chunk_sizes: tuple[int, ...] = (192, 128, 64)
     k_train: int = 256
@@ -90,21 +90,18 @@ class PipelineConfig:
             raise ValueError("NMS threshold must lie in (0, 1)")
         if not (0.0 < self.binarize_threshold < 1.0):
             raise ValueError("binarization threshold must lie in (0, 1)")
-        if self.geo_cue not in ("on", "zero", "off"):
-            raise ValueError("geo_cue must be one of on/zero/off")
+        if self.geo_cue not in ("on", "zero"):
+            raise ValueError("geo_cue must be on or zero")
         if self.devoxelization not in ("early", "late"):
             raise ValueError("devoxelization must be early or late")
-        if self.layout_dims[0] != self.decoder_input_dim:
+        # decoder input: mask features, 3 offsets, 6 box differences
+        if self.layout_dims[0] != self.mask_dim + 9:
             raise ValueError(
                 f"layout input width {self.layout_dims[0]} does not match the decoder "
-                f"input ({self.decoder_input_dim} for geo_cue={self.geo_cue})"
+                f"input ({self.mask_dim + 9})"
             )
         if self.k_train < 1 or self.stage1_budget < 1 or self.duplication < 1:
             raise ValueError("sampling budgets and duplication must be positive")
-
-    @property
-    def decoder_input_dim(self) -> int:
-        return self.mask_dim + 3 + (0 if self.geo_cue == "off" else 6)
 
     @property
     def candidate_classes(self) -> int:
@@ -119,14 +116,12 @@ class PipelineConfig:
 
 
 def default_config_for(model: "ModelParams", **overrides) -> PipelineConfig:
-    """A config matching a model's structure, geo mode inferred from widths."""
-    geo = "off" if model.layout_dims[0] == model.mask_dim + 3 else "on"
+    """A config matching a model's structure."""
     fields = dict(
         num_classes=model.num_classes,
         d_model=model.d_model,
         mask_dim=model.mask_dim,
         layout_dims=tuple(model.layout_dims),
-        geo_cue=geo,
     )
     fields.update(overrides)
     return PipelineConfig(**fields)
@@ -196,9 +191,6 @@ class ModelParams:
 
     def num_parameters(self) -> int:
         return sum(v.size for v in self.params.values())
-
-    def kernel_layout(self) -> KernelLayout:
-        return KernelLayout(self.layout_dims)
 
     def check_finite(self) -> None:
         for name, value in self.params.items():
@@ -307,34 +299,31 @@ def _forward_pointwise(scene: Scene, p: dict, config: PipelineConfig, cache: Enc
     return feats, sem, boxes, fmask
 
 
-def pointwise_predict(
-    scene: Scene, model: ModelParams, config: PipelineConfig | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point (semantic logits, boxes, mask features) as arrays."""
-    config = config or default_config_for(model)
-    _, sem, boxes, fmask = _forward_pointwise(scene, model.as_vars(), config, None)
-    return sem.value, boxes.value, fmask.value
+def _candidate_encoder(
+    p: dict, config: PipelineConfig, feats: Var, positions: np.ndarray, stage1: np.ndarray
+):
+    """Both aggregation blocks plus the candidate heads.
 
+    Block 1 aggregates the scene at the stage-1 points once. The returned
+    function maps local indices into stage 1 to the heads' outputs (class
+    logits, boxes, kernels, quality) after block 2 aggregates stage 1 at
+    those points.
+    """
 
-def _aggregator_blocks(p: dict, config: PipelineConfig) -> tuple[AggregatorBlock, AggregatorBlock]:
     def block(prefix: str, radius: float) -> AggregatorBlock:
         layers = tuple((p[f"{prefix}.w{i}"], p[f"{prefix}.b{i}"]) for i in range(3))
         return AggregatorBlock(radius, config.num_neighbors, layers)
 
-    return block("pa1", config.radii[0]), block("pa2", config.radii[1])
+    block1, block2 = block("pa1", config.radii[0]), block("pa2", config.radii[1])
+    nb1 = ball_query(positions, positions[stage1], block1.radius, block1.num_neighbors, stage1)
+    feats1 = aggregate_batch(block1, feats, positions, stage1, nb1)
+    sub_pos = positions[stage1]
 
+    def encode(local_idx: np.ndarray):
+        nb2 = ball_query(sub_pos, sub_pos[local_idx], block2.radius, block2.num_neighbors, local_idx)
+        return heads(aggregate_batch(block2, feats1, sub_pos, local_idx, nb2), p)
 
-def _candidate_heads(p: dict) -> CandidateHeads:
-    return CandidateHeads(
-        cls_weight=p["head.cls_w"],
-        cls_bias=p["head.cls_b"],
-        box_weight=p["head.box_w"],
-        box_bias=p["head.box_b"],
-        kernel_weight=p["head.ker_w"],
-        kernel_bias=p["head.ker_b"],
-        quality_weight=p["head.q_w"],
-        quality_bias=p["head.q_b"],
-    )
+    return encode
 
 
 def _decode_mask_logits(
@@ -350,20 +339,19 @@ def _decode_mask_logits(
     """Raw decoder logits (K, M) for a batch of candidates.
 
     Each point's decoder input is its mask feature, its offset from the
-    candidate, and (unless ``geo_cue`` is "off") the box difference
-    |point box - candidate box|, zeroed under "zero". Gradients reach the
-    mask features and both boxes of the difference.
+    candidate, and the box difference |point box - candidate box|, zeroed
+    under ``geo_cue`` "zero". Gradients reach the mask features and both
+    boxes of the difference.
     """
     k = cand_positions.shape[0]
     m = positions.shape[0]
     f_pos = positions[None, :, :] - cand_positions[:, None, :]
     parts = [ad.broadcast_to(ad.reshape(fmask, (1, m, fmask.shape[1])), (k, m, fmask.shape[1]))]
     parts.append(Var(f_pos))
-    if geo_cue != "off":
-        geo = ad.absolute(ad.sub(ad.reshape(point_boxes, (1, m, 6)), ad.reshape(cand_boxes, (k, 1, 6))))
-        if geo_cue == "zero":
-            geo = ad.mul(geo, 0.0)
-        parts.append(geo)
+    geo = ad.absolute(ad.sub(ad.reshape(point_boxes, (1, m, 6)), ad.reshape(cand_boxes, (k, 1, 6))))
+    if geo_cue == "zero":
+        geo = ad.mul(geo, 0.0)
+    parts.append(geo)
     return decoder_logits(ad.concat(parts, axis=2), kernels, layout)
 
 
@@ -451,52 +439,48 @@ def infer(
         return stop("no foreground")
 
     stage1 = fps(positions, min(config.stage1_budget, int(foreground.sum())), candidate_filter=foreground)
-    block1, block2 = _aggregator_blocks(p, config)
-    nb1 = ball_query(positions, positions[stage1], block1.radius, block1.num_neighbors, stage1)
-    feats1 = aggregate_batch(block1, feats, positions, stage1, nb1)
+    encode = _candidate_encoder(p, config, feats, positions, stage1)
+    chunks: list[tuple] = []  # (class logits, boxes, quality, soft masks) per candidate chunk
+    decode_s = 0.0
 
-    sub_pos = positions[stage1]
+    def candidate_stage(local_idx: np.ndarray) -> np.ndarray:
+        """Encode one chunk of candidates and decode their masks over all points.
+
+        Returns the masks at the stage-1 points: the IA-FPS feedback.
+        """
+        nonlocal decode_s
+        cls_logits, boxes, kernels, quality = encode(local_idx)
+        centers = stage1[local_idx]
+        masks = np.empty((centers.size, scene.num_points))
+        chunks.append((cls_logits.value, boxes.value, quality.value, masks))
+        t = time.perf_counter()
+        for start in range(0, centers.size, config.decode_chunk):
+            sel = slice(start, min(start + config.decode_chunk, centers.size))
+            logits = _decode_mask_logits(
+                fmask,
+                positions,
+                point_boxes,
+                positions[centers[sel]],
+                point_boxes[centers[sel]],
+                kernels[sel],
+                layout,
+                config.geo_cue,
+            )
+            masks[sel] = expit(logits.value)
+        decode_s += time.perf_counter() - t
+        return masks[:, stage1]
+
     sub_state = OccupancyState(background[stage1], threshold=config.tau)
-    head_params = _candidate_heads(p)
-    sub_fmask = fmask[stage1]
-    sub_boxes = point_boxes[stage1]
-
-    def decode_for(local_idx: np.ndarray) -> np.ndarray:
-        nb = ball_query(sub_pos, sub_pos[local_idx], block2.radius, block2.num_neighbors, local_idx)
-        f2 = aggregate_batch(block2, feats1, sub_pos, local_idx, nb)
-        _, _, kernels_c, _ = heads(f2, head_params)
-        logits = _decode_mask_logits(
-            sub_fmask, sub_pos, sub_boxes, sub_pos[local_idx], sub_boxes[local_idx], kernels_c,
-            layout, config.geo_cue,
-        )
-        return expit(logits.value)
-
-    local_order = ia_fps_infer(sub_state, sub_pos, config.sample_budget(), decode_for)
+    local_order = ia_fps_infer(sub_state, positions[stage1], config.sample_budget(), candidate_stage)
     if local_order.size == 0:
         return stop("sampling exhausted")
-    candidates = stage1[local_order]
-
-    nb2 = ball_query(sub_pos, sub_pos[local_order], block2.radius, block2.num_neighbors, local_order)
-    feats2 = aggregate_batch(block2, feats1, sub_pos, local_order, nb2)
-    cls_logits, boxes, kernels, quality = heads(feats2, head_params)
+    decoded = sum(masks.shape[0] for *_, masks in chunks)
+    if decoded < local_order.size:
+        candidate_stage(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
+    cls_logits, boxes, quality, soft_masks = (np.concatenate(parts) for parts in zip(*chunks))
     t2 = time.perf_counter()
 
-    soft_masks = np.empty((candidates.size, scene.num_points))
-    for start in range(0, candidates.size, config.decode_chunk):
-        sel = slice(start, min(start + config.decode_chunk, candidates.size))
-        logits = _decode_mask_logits(
-            fmask,
-            positions,
-            point_boxes,
-            positions[candidates[sel]],
-            point_boxes[candidates[sel]],
-            kernels[sel],
-            layout,
-            config.geo_cue,
-        )
-        soft_masks[sel] = expit(logits.value)
-
-    class_ids, scores, class_probs = _score_candidates(cls_logits.value, quality.value)
+    class_ids, scores, class_probs = _score_candidates(cls_logits, quality)
     binary = binarize(soft_masks, config.binarize_threshold)
     nonempty = np.flatnonzero(binary.any(axis=1))
     kept = [int(nonempty[i]) for i in nms(binary[nonempty], scores[nonempty], config.nms_iou)]
@@ -511,7 +495,7 @@ def infer(
         )
         if not aligned.any():
             continue
-        box_vec = boxes.value[idx]
+        box_vec = boxes[idx]
         predictions.append(
             Prediction(
                 class_id=int(class_ids[idx]),
@@ -528,8 +512,8 @@ def infer(
         timings.update(
             {
                 "encoder": (t1 - t0) * 1e3,
-                "instance_encoder": (t2 - t1) * 1e3,
-                "mask_decoder": (t3 - t2) * 1e3,
+                "instance_encoder": (t2 - t1 - decode_s) * 1e3,
+                "mask_decoder": (t3 - t2 + decode_s) * 1e3,
             }
         )
     return predictions
@@ -585,13 +569,8 @@ def scene_loss(
     stage2_local = np.arange(min(config.k_train, stage1.size))
     candidates = stage1[stage2_local]
 
-    block1, block2 = _aggregator_blocks(model_vars, config)
-    nb1 = ball_query(positions, positions[stage1], block1.radius, block1.num_neighbors, stage1)
-    feats1 = aggregate_batch(block1, feats, positions, stage1, nb1)
-    sub_pos = positions[stage1]
-    nb2 = ball_query(sub_pos, sub_pos[stage2_local], block2.radius, block2.num_neighbors, stage2_local)
-    feats2 = aggregate_batch(block2, feats1, sub_pos, stage2_local, nb2)
-    cls_logits, boxes, kernels, quality = heads(feats2, _candidate_heads(model_vars))
+    encode = _candidate_encoder(model_vars, config, feats, positions, stage1)
+    cls_logits, boxes, kernels, quality = encode(stage2_local)
 
     mask_logits = _decode_mask_logits(
         fmask,

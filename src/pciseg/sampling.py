@@ -10,7 +10,7 @@ refreshed chunk by chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,15 +38,14 @@ class SampleBudget:
 
 @dataclass
 class OccupancyState:
-    """Per-point background probability plus masks claimed by candidates.
+    """Per-point background probability and the eligibility threshold.
 
-    A point stays eligible while every tracked probability m satisfies
-    1 - m > threshold, i.e. it is neither probable background nor claimed
-    by a previously decoded instance mask.
+    A point stays eligible while every probability m tested against it,
+    background or a claimed soft mask, satisfies 1 - m > threshold, i.e. it
+    is neither probable background nor claimed by a decoded instance mask.
     """
 
     background_prob: np.ndarray
-    claimed_prob: list = field(default_factory=list)
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -57,31 +56,22 @@ class OccupancyState:
             raise ValueError("probabilities must lie in [0, 1]")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
-        self.claimed_prob = [self._check(m) for m in self.claimed_prob]
-
-    def _check(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != self.background_prob.shape:
-            raise ValueError("claimed mask length mismatch")
-        if m.min() < 0.0 or m.max() > 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-        return m
 
     def foreground(self) -> np.ndarray:
         """Points passing the background test alone."""
         return (1.0 - self.background_prob) > self.threshold
 
-    def available(self, claimed: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    def available(self, claimed: Sequence[np.ndarray]) -> np.ndarray:
         """Points passing the background test and every claimed-mask test."""
         keep = self.foreground()
-        for m in self.claimed_prob if claimed is None else claimed:
+        for m in claimed:
             keep &= (1.0 - m) > self.threshold
         return keep
 
-    def unclaimed(self, claimed: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    def unclaimed(self, claimed: Sequence[np.ndarray]) -> np.ndarray:
         """Points passing the claimed-mask tests, ignoring background."""
         keep = np.ones_like(self.background_prob, dtype=bool)
-        for m in self.claimed_prob if claimed is None else claimed:
+        for m in claimed:
             keep &= (1.0 - m) > self.threshold
         return keep
 
@@ -187,7 +177,7 @@ def ia_fps_infer(
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape[0] != state.background_prob.shape[0]:
         raise ValueError("positions and occupancy state disagree on N")
-    claimed = list(state.claimed_prob)
+    claimed: list[np.ndarray] = []
     sampler = _MaxMinSampler(positions)
     order: list[int] = []
     chunks = budget.chunk_sizes

@@ -447,6 +447,10 @@ def read_predictions(path) -> tuple[list, int]:
         for _ in range(count):
             class_id = struct.unpack("<i", read_exact(f, 4))[0]
             score = struct.unpack("<d", read_exact(f, 8))[0]
+            if class_id < 1:
+                raise ValueError(f"prediction class id {class_id} is below 1")
+            if not np.isfinite(score):
+                raise ValueError("prediction score is not finite")
             box = np.frombuffer(read_exact(f, 48), dtype="<f8")
             size = struct.unpack("<I", read_exact(f, 4))[0]
             indices = np.frombuffer(read_exact(f, size * 8), dtype="<i8")

@@ -16,16 +16,16 @@ import numpy as np
 import pytest
 from pciseg import autodiff as ad
 from pciseg.autodiff import Var
-from pciseg.aggregator import AggregatorBlock, ball_query
+from pciseg.aggregator import ball_query
 from pciseg.core import mask_iou
-from pciseg.dynconv import layout_param_count
+from pciseg.dynconv import KernelLayout
 from pciseg.evalmetrics import average_precision
 from pciseg.pipeline import (
     ModelParams,
     PipelineConfig,
+    _forward_pointwise,
     infer,
     nms,
-    pointwise_predict,
     train,
 )
 from pciseg.sampling import (
@@ -52,6 +52,7 @@ from pciseg.supervision import (
     one_to_many_match,
 )
 
+from test_aggregator import stacked_features, zero_block
 from test_evalmetrics import prediction_for, reference_ap, scene_with_instances
 from test_supervision import assignment_cost, brute_force_min_cost
 
@@ -69,7 +70,7 @@ def test_criterion_1_kernel_parameter_counts():
         (41, 16, 16, 1): 960,
     }
     for dims, count in expected.items():
-        assert layout_param_count(dims) == count, dims
+        assert KernelLayout(dims).param_count == count, dims
     report("criterion-1", f"{len(expected)} published layouts reproduced exactly")
 
 
@@ -412,13 +413,11 @@ def test_criterion_8_invariant_suites():
         assert fps(pts, budget + 1)[:budget].tolist() == fps(pts, budget).tolist()
 
     # residual identity under zero aggregation weights
-    from pciseg.aggregator import pa_stack
-
     feats = rng.normal(size=(20, 4))
     positions = rng.normal(size=(20, 3)) * 0.1
-    blocks = [AggregatorBlock.zeros(0.2, 4, 4), AggregatorBlock.zeros(0.4, 4, 4)]
+    blocks = [zero_block(0.2, 4, 4), zero_block(0.4, 4, 4)]
     stage1, stage2 = np.arange(20), np.array([1, 7, 13])
-    assert np.array_equal(pa_stack(feats, positions, [stage1, stage2], blocks), feats[stage2])
+    assert np.array_equal(stacked_features(feats, positions, stage1, stage2, blocks), feats[stage2])
 
     # NMS contract at 0.2: kept pairs never exceed the threshold
     masks = rng.uniform(size=(12, 40)) > 0.6
@@ -442,7 +441,7 @@ def test_criterion_8_invariant_suites():
     )
     scenes = generate(GenConfig(num_scenes=1, points_per_scene=256, seed=5))
     model = ModelParams.initialize(config, 19)
-    _, boxes, _ = pointwise_predict(scenes[0], model, config)
+    boxes = _forward_pointwise(scenes[0], model.as_vars(), config, None)[2].value
     assert np.all(boxes[:, :3] <= boxes[:, 3:])
 
     # loss decomposition identity is exact

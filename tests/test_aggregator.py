@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from pciseg.aggregator import (
-    AggregatorBlock,
-    CandidateHeads,
-    aggregate_batch,
-    ball_query,
-    heads,
-    pa_stack,
-)
+from pciseg.aggregator import AggregatorBlock, aggregate_batch, ball_query, heads
 from pciseg.dynconv import KernelLayout
+from pciseg.pipeline import PipelineConfig, _candidate_encoder
 
 
 def ones_block(radius, q, width=1):
@@ -21,6 +15,40 @@ def ones_block(radius, q, width=1):
         (np.eye(width), np.zeros(width)),
     )
     return AggregatorBlock(radius, q, layers)
+
+
+def zero_block(radius, q, width):
+    layers = (
+        (np.zeros((width + 3, width)), np.zeros(width)),
+        (np.zeros((width, width)), np.zeros(width)),
+        (np.zeros((width, width)), np.zeros(width)),
+    )
+    return AggregatorBlock(radius, q, layers)
+
+
+def aggregate_at(block, feats, pts, centers):
+    """One block at the given centers over all points, as the pipeline calls it."""
+    nbrs = ball_query(pts, pts[centers], block.radius, block.num_neighbors, center_indices=centers)
+    return aggregate_batch(block, feats, pts, centers, nbrs).value
+
+
+def stacked_features(feats, pts, stage1, local_idx, blocks):
+    """Block-2 features at stage-1 rows ``local_idx``, through the pipeline.
+
+    Runs ``pipeline._candidate_encoder`` with the two blocks' weights and a
+    class head that copies the features through; the other heads are zero.
+    """
+    width = feats.shape[1]
+    classes = max(width, 2)
+    p = {}
+    for prefix, block in zip(("pa1", "pa2"), blocks):
+        for i, (w, b) in enumerate(block.layers):
+            p[f"{prefix}.w{i}"], p[f"{prefix}.b{i}"] = w, b
+    p |= make_heads(width, classes, 1)
+    p["head.cls_w"] = np.eye(width, classes)
+    config = PipelineConfig(radii=(blocks[0].radius, blocks[1].radius), num_neighbors=blocks[0].num_neighbors)
+    encode = _candidate_encoder(p, config, feats, pts, np.asarray(stage1))
+    return encode(np.asarray(local_idx))[0].value[:, :width]
 
 
 class TestBallQuery:
@@ -70,7 +98,7 @@ class TestBallQuery:
 
 class TestLocalAggregate:
     def test_zero_weights_residual_identity(self):
-        block = AggregatorBlock.zeros(0.5, 3, width=2)
+        block = zero_block(0.5, 3, width=2)
         feats = np.array([[1.0, -2.0], [0.5, 0.5]])
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0]])
         out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[0, 1, 1]]))
@@ -106,23 +134,24 @@ class TestLocalAggregate:
 
 
 class TestPaStack:
+    """The two-block aggregation stack over nested sample stages."""
+
     def test_single_block_zero_weights_identity(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(10, 3)) * 0.05
         feats = rng.normal(size=(10, 4))
-        block = AggregatorBlock.zeros(0.3, 4, width=4)
-        out = pa_stack(feats, pts, [np.arange(10)], [block])
+        out = aggregate_at(zero_block(0.3, 4, width=4), feats, pts, np.arange(10))
         assert np.allclose(out, feats)
 
     def test_two_blocks_zero_weights_identity_at_final(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(12, 3)) * 0.05
         feats = rng.normal(size=(12, 4))
-        blocks = [AggregatorBlock.zeros(0.2, 4, 4), AggregatorBlock.zeros(0.4, 4, 4)]
+        blocks = [zero_block(0.2, 4, 4), zero_block(0.4, 4, 4)]
         stage1 = np.array([0, 2, 4, 6, 8])
-        stage2 = np.array([2, 6])
-        out = pa_stack(feats, pts, [stage1, stage2], blocks)
-        assert np.allclose(out, feats[stage2])
+        stage2_local = np.array([1, 3])
+        out = stacked_features(feats, pts, stage1, stage2_local, blocks)
+        assert np.allclose(out, feats[stage1[stage2_local]])
 
     def test_two_blocks_match_scripted_oracle(self):
         # Independent recomputation of both aggregation rounds on a 3-point
@@ -131,7 +160,7 @@ class TestPaStack:
         feats = np.array([[1.0], [2.0], [3.0]])
         b1 = ones_block(0.15, 2)
         b2 = ones_block(0.45, 2)
-        out = pa_stack(feats, pts, [np.array([0, 1, 2]), np.array([1])], [b1, b2])
+        out = stacked_features(feats, pts, np.array([0, 1, 2]), np.array([1]), [b1, b2])
 
         def aggregate(f, p, center, nbrs, r):
             vals = []
@@ -169,39 +198,19 @@ class TestPaStack:
         )
         block = AggregatorBlock(0.5, 4, layers)
         centers = np.array([3, 8])
-        out = pa_stack(feats, pts, [centers], [block])
+        out = aggregate_at(block, feats, pts, centers)
         perm = rng.permutation(15)
         inverse = np.empty(15, dtype=int)
         inverse[perm] = np.arange(15)
-        out_p = pa_stack(feats[perm], pts[perm], [inverse[centers]], [block])
+        out_p = aggregate_at(block, feats[perm], pts[perm], inverse[centers])
         assert np.allclose(out, out_p)
-
-    def test_empty_stage_rejected(self):
-        feats = np.zeros((3, 2))
-        pts = np.zeros((3, 3))
-        with pytest.raises(ValueError, match="empty"):
-            pa_stack(feats, pts, [np.array([], dtype=int)], [AggregatorBlock.zeros(0.2, 2, 2)])
-
-    def test_stage_nesting_enforced(self):
-        feats = np.zeros((5, 2))
-        pts = np.random.default_rng(8).normal(size=(5, 3))
-        blocks = [AggregatorBlock.zeros(0.2, 2, 2), AggregatorBlock.zeros(0.4, 2, 2)]
-        with pytest.raises(ValueError, match="nest"):
-            pa_stack(feats, pts, [np.array([0, 1]), np.array([2])], blocks)
 
 
 def make_heads(d, c, hp, fill=0.0):
-    z = lambda *shape: np.full(shape, fill)
-    return CandidateHeads(
-        cls_weight=z(d, c),
-        cls_bias=z(c),
-        box_weight=z(d, 6),
-        box_bias=z(6),
-        kernel_weight=z(d, hp),
-        kernel_bias=z(hp),
-        quality_weight=z(d, 1),
-        quality_bias=z(1),
-    )
+    """``head.*`` parameters for D-wide features, C classes and H' kernel entries."""
+    widths = {"cls": c, "box": 6, "ker": hp, "q": 1}
+    heads_params = {f"head.{name}_w": np.full((d, w), fill) for name, w in widths.items()}
+    return heads_params | {f"head.{name}_b": np.full(w, fill) for name, w in widths.items()}
 
 
 class TestHeads:
@@ -225,16 +234,8 @@ class TestHeads:
     def test_single_weight_hand_computation(self):
         # D=1 with weight 2 and bias 1 on the class head: logits = 2e + 1.
         head = make_heads(1, 2, 41)
-        head = CandidateHeads(
-            cls_weight=np.array([[2.0, 0.0]]),
-            cls_bias=np.array([1.0, 0.0]),
-            box_weight=head.box_weight,
-            box_bias=head.box_bias,
-            kernel_weight=head.kernel_weight,
-            kernel_bias=head.kernel_bias,
-            quality_weight=head.quality_weight,
-            quality_bias=head.quality_bias,
-        )
+        head["head.cls_w"] = np.array([[2.0, 0.0]])
+        head["head.cls_b"] = np.array([1.0, 0.0])
         e = np.array([[1.0], [2.0]])
         cls = heads(e, head)[0].value
         assert np.allclose(cls, [[3.0, 0.0], [5.0, 0.0]])
@@ -242,16 +243,16 @@ class TestHeads:
     def test_box_invariant_min_leq_max(self):
         rng = np.random.default_rng(9)
         hp = 41
-        head = CandidateHeads(
-            cls_weight=rng.normal(size=(4, 5)),
-            cls_bias=rng.normal(size=5),
-            box_weight=rng.normal(size=(4, 6)) * 3,
-            box_bias=rng.normal(size=6) * 3,
-            kernel_weight=rng.normal(size=(4, hp)),
-            kernel_bias=rng.normal(size=hp),
-            quality_weight=rng.normal(size=(4, 1)),
-            quality_bias=rng.normal(size=1),
-        )
+        head = {
+            "head.cls_w": rng.normal(size=(4, 5)),
+            "head.cls_b": rng.normal(size=5),
+            "head.box_w": rng.normal(size=(4, 6)) * 3,
+            "head.box_b": rng.normal(size=6) * 3,
+            "head.ker_w": rng.normal(size=(4, hp)),
+            "head.ker_b": rng.normal(size=hp),
+            "head.q_w": rng.normal(size=(4, 1)),
+            "head.q_b": rng.normal(size=1),
+        }
         e = rng.normal(size=(20, 4))
         box = heads(e, head)[1].value
         assert np.all(box[:, :3] <= box[:, 3:])

@@ -41,6 +41,21 @@ def test_unary_ops():
     check(lambda p: ad.vsum(p["x"] ** 3.0), {"x": x.copy()})
 
 
+def test_absolute_signs_recorded_only_under_a_sink(monkeypatch):
+    x = np.array([-1.0, 2.0])
+    _, digest = ad.capture_signature(lambda: ad.absolute(x))
+    assert digest == ad.capture_signature(lambda: ad.absolute(3.0 * x))[1]
+    assert digest != ad.capture_signature(lambda: ad.absolute(-x))[1]
+    calls = []
+    sign = np.sign
+    monkeypatch.setattr(np, "sign", lambda v: calls.append(1) or sign(v))
+    leaf = ad.parameter(x)
+    out = ad.vsum(ad.absolute(leaf))
+    assert not calls  # no sink: the forward pass skips the sign
+    ad.backward(out)
+    assert np.array_equal(leaf.grad, [-1.0, 1.0]) and len(calls) == 1
+
+
 def test_minimum_maximum():
     params = {"a": RNG.normal(size=(8,)), "b": RNG.normal(size=(8,))}
     check(lambda p: ad.vsum(ad.maximum(p["a"], p["b"]) + ad.minimum(p["a"], 0.3)), params)

@@ -11,11 +11,11 @@ from pciseg.core import (
     aabb_giou,
     aabb_iou,
     binarize,
-    devoxelize_late,
     dice_loss,
     mask_iou,
     voxelize,
 )
+from pciseg.pipeline import ModelParams, PipelineConfig, _forward_pointwise
 
 from conftest import toy_scene
 
@@ -186,35 +186,39 @@ class TestVoxelize:
             voxelize(scene, 0.0)
 
 
+def late_rows(scene, voxel_size):
+    """Per-point (features, semantic logits, boxes, mask features) of a
+    random model, computed per voxel and expanded late; None runs per point."""
+    config = PipelineConfig(d_model=8, mask_dim=4, layout_dims=(13, 8, 1), voxel_size=voxel_size)
+    p = ModelParams.initialize(config, 3).as_vars()
+    return [v.value for v in _forward_pointwise(scene, p, config, None)]
+
+
 class TestDevoxelize:
     def test_one_point_per_voxel_is_permutation(self):
         scene = toy_scene([[0.0, 0, 0], [1.0, 0, 0], [0.5, 0, 0]], [1] * 3, [0] * 3)
         vm = voxelize(scene, 0.2)
         assert vm.num_voxels == 3
-        feats = np.arange(3.0)[:, None]
-        out = devoxelize_late(feats, vm)
-        assert sorted(out.ravel().tolist()) == [0.0, 1.0, 2.0]
+        assert sorted(vm.point_to_voxel.tolist()) == [0, 1, 2]
+        for voxel, point in zip(late_rows(scene, 0.2), late_rows(scene, None)):
+            assert np.allclose(voxel, point, rtol=0.0, atol=1e-12)
 
     def test_shared_voxel_rows_identical(self):
-        scene = toy_scene([[0.0, 0, 0], [0.001, 0, 0]], [1, 1], [0, 0])
-        vm = voxelize(scene, 0.02)
-        out = devoxelize_late(np.array([[3.0]]), vm)
-        assert np.array_equal(out, [[3.0], [3.0]])
-
-    def test_row_count_mismatch(self):
-        scene = toy_scene([[0.0, 0, 0], [1.0, 0, 0]], [1, 1], [0, 0])
-        vm = voxelize(scene, 0.02)
-        with pytest.raises(ValueError):
-            devoxelize_late(np.zeros((1, 2)), vm)
+        scene = toy_scene([[0.0, 0, 0], [0.001, 0, 0], [1.0, 0, 0]], [1] * 3, [0] * 3)
+        assert voxelize(scene, 0.02).num_voxels == 2
+        for rows in late_rows(scene, 0.02):
+            assert np.array_equal(rows[0], rows[1])
+            assert not np.array_equal(rows[0], rows[2])
 
     def test_round_trip_on_voxel_constant_features(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, size=(50, 3))
         scene = toy_scene(pts, [1] * 50, [0] * 50)
         vm = voxelize(scene, 0.25)
-        voxel_feats = rng.normal(size=(vm.num_voxels, 4))
-        per_point = voxel_feats[vm.point_to_voxel]
-        assert np.max(np.abs(devoxelize_late(voxel_feats, vm) - per_point)) <= 1e-12
+        assert vm.num_voxels < 50
+        _, first = np.unique(vm.point_to_voxel, return_index=True)
+        for rows in late_rows(scene, 0.25):
+            assert np.array_equal(rows[first][vm.point_to_voxel], rows)
 
 
 class TestSceneValidation:

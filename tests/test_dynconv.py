@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from pciseg.autodiff import Var
-from pciseg.dynconv import KernelLayout, decoder_logits, layout_param_count
+from pciseg.dynconv import KernelLayout, decoder_logits
 from pciseg.pipeline import _decode_mask_logits
 
 # Published parameter counts for the decoder layer ablation; the flat-kernel
@@ -22,30 +22,43 @@ KNOWN_COUNTS = {
 class TestLayout:
     @pytest.mark.parametrize("dims,expected", sorted(KNOWN_COUNTS.items()))
     def test_param_counts(self, dims, expected):
-        assert layout_param_count(dims) == expected
+        assert KernelLayout(dims).param_count == expected
 
     def test_final_width_must_be_one(self):
         with pytest.raises(ValueError):
             KernelLayout((41, 8))
 
+    @staticmethod
+    def assert_slices_tile(layout):
+        """Per layer: a c_in x c_out weight block, then a bias on every layer
+        but the last; together they cover the flat kernel once, in order."""
+        w = np.random.default_rng(1).normal(size=layout.param_count)
+        parts = []
+        specs = layout.slices()
+        for layer, (ws, bs, (c_in, c_out)) in enumerate(specs):
+            assert (c_in, c_out) == layout.dims[layer : layer + 2]
+            assert w[ws].size == c_in * c_out
+            parts.append(w[ws])
+            if layer < len(specs) - 1:
+                assert w[bs].size == c_out
+                parts.append(w[bs])
+            else:
+                assert bs is None
+        assert np.array_equal(np.concatenate(parts), w)
+
     def test_split_flatten_round_trip(self):
-        rng = np.random.default_rng(0)
         for dims in KNOWN_COUNTS:
-            layout = KernelLayout(dims)
-            w = rng.normal(size=layout.param_count)
-            assert np.array_equal(layout.flatten(layout.split(w)), w)
+            self.assert_slices_tile(KernelLayout(dims))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=3))
     def test_round_trip_random_layouts(self, hidden):
-        layout = KernelLayout(tuple(hidden) + (1,))
-        w = np.random.default_rng(1).normal(size=layout.param_count)
-        assert np.array_equal(layout.flatten(layout.split(w)), w)
+        self.assert_slices_tile(KernelLayout(tuple(hidden) + (1,)))
 
     def test_kernel_length_checked(self):
         layout = KernelLayout((41, 1))
         with pytest.raises(ValueError):
-            layout.split(np.zeros(40))
+            decoder_logits(Var(np.zeros((1, 2, 41))), Var(np.zeros((1, 40))), layout)
 
 
 def read_channels(positions, point_boxes, cand_position, cand_box, mask_dim=1):

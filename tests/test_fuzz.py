@@ -131,6 +131,7 @@ def test_read_predictions_valid_or_value_error(data):
     if parsed is not None:
         predictions, n = parsed
         assert all(isinstance(p, Prediction) and p.mask.shape == (n,) for p in predictions)
+        assert all(p.class_id >= 1 and np.isfinite(p.score) for p in predictions)
         assert file_bytes(lambda path: write_predictions(path, predictions, n)) == data
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pciseg import autodiff as ad
+from pciseg import pipeline
 from pciseg.core import mask_iou
 from pciseg.pipeline import (
     MODEL_MAGIC,
@@ -12,11 +13,9 @@ from pciseg.pipeline import (
     PipelineConfig,
     RmsProp,
     _forward_pointwise,
-    default_config_for,
     infer,
     load_model,
     nms,
-    pointwise_predict,
     save_model,
     scene_loss,
     superpoint_align,
@@ -117,17 +116,16 @@ class TestEncode:
     def test_early_late_devoxelization_identical(self, two_cluster_scene):
         config_early = tiny_config(voxel_size=0.08, devoxelization="early")
         config_late = tiny_config(voxel_size=0.08, devoxelization="late")
-        model = ModelParams.initialize(config_early, 5)
-        sem_e, box_e, fm_e = pointwise_predict(two_cluster_scene, model, config_early)
-        sem_l, box_l, fm_l = pointwise_predict(two_cluster_scene, model, config_late)
-        assert np.max(np.abs(sem_e - sem_l)) <= 1e-12
-        assert np.max(np.abs(box_e - box_l)) <= 1e-12
-        assert np.max(np.abs(fm_e - fm_l)) <= 1e-12
+        p = ModelParams.initialize(config_early, 5).as_vars()
+        early = _forward_pointwise(two_cluster_scene, p, config_early, None)
+        late = _forward_pointwise(two_cluster_scene, p, config_late, None)
+        for a, b in zip(early[1:], late[1:]):  # semantic logits, boxes, mask features
+            assert np.max(np.abs(a.value - b.value)) <= 1e-12
 
     def test_pointwise_box_invariant(self, two_cluster_scene):
         config = tiny_config()
         model = ModelParams.initialize(config, 9)
-        _, boxes, _ = pointwise_predict(two_cluster_scene, model, config)
+        boxes = _forward_pointwise(two_cluster_scene, model.as_vars(), config, None)[2].value
         assert np.all(boxes[:, :3] <= boxes[:, 3:])
 
 
@@ -235,11 +233,37 @@ class TestInfer:
         assert set(timings) == {"encoder", "instance_encoder", "mask_decoder"}
         assert all(v >= 0.0 for v in timings.values())
 
-    def test_geo_cue_off_still_runs(self, two_cluster_scene):
-        config = tiny_config(layout_dims=(7, 8, 1), geo_cue="off")
-        model = ModelParams.initialize(config, 4)
-        preds = infer(two_cluster_scene, model, config)
-        assert isinstance(preds, list)
+    def test_each_candidate_aggregated_and_decoded_once(self, two_cluster_scene, monkeypatch):
+        # Three IA-FPS chunks, the last one never fed back, and decode
+        # slices smaller than a chunk.
+        config = tiny_config(stage1_budget=12, chunk_sizes=(4, 3, 2), decode_chunk=3)
+        model = ModelParams.initialize(config, 1)
+        aggregate, decode, sample = pipeline.aggregate_batch, pipeline._decode_mask_logits, pipeline.ia_fps_infer
+        block2_rows, decoded_rows, decoded_widths, candidates = [], [], set(), []
+
+        def counting_aggregate(block, features, positions, centers, neighbors):
+            if block.radius == config.radii[1]:
+                block2_rows.extend(centers.tolist())
+            return aggregate(block, features, positions, centers, neighbors)
+
+        def counting_decode(fmask, positions, point_boxes, cand_positions, *rest):
+            decoded_rows.extend(map(tuple, cand_positions))
+            decoded_widths.add(positions.shape[0])
+            return decode(fmask, positions, point_boxes, cand_positions, *rest)
+
+        def recording_sample(*args):
+            local_order = sample(*args)
+            candidates.extend(local_order.tolist())
+            return local_order
+
+        monkeypatch.setattr(pipeline, "aggregate_batch", counting_aggregate)
+        monkeypatch.setattr(pipeline, "_decode_mask_logits", counting_decode)
+        monkeypatch.setattr(pipeline, "ia_fps_infer", recording_sample)
+        infer(two_cluster_scene, model, config)
+        assert len(candidates) > 4 + 3  # the last chunk ran
+        assert sorted(block2_rows) == sorted(candidates)
+        assert len(decoded_rows) == len(candidates) == len(set(candidates))
+        assert decoded_widths == {two_cluster_scene.num_points}
 
     def test_early_late_full_pipeline_identical(self, two_cluster_scene):
         model = ModelParams.initialize(tiny_config(), 5)
@@ -437,13 +461,3 @@ class TestSerialization:
         self.write_raw(path, header, payload + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
-
-    def test_default_config_for_roundtrip(self, tmp_path):
-        config = tiny_config(layout_dims=(7, 8, 1), geo_cue="off")
-        model = ModelParams.initialize(config, 2)
-        path = tmp_path / "model.bin"
-        save_model(path, model)
-        loaded = load_model(path)
-        rebuilt = default_config_for(loaded)
-        assert rebuilt.geo_cue == "off"
-        assert rebuilt.layout_dims == (7, 8, 1)

@@ -232,6 +232,16 @@ class TestPredictionIo:
         with pytest.raises(ValueError, match="range"):
             read_predictions(path)
 
+    @pytest.mark.parametrize(
+        "class_id,score,message",
+        [(0, 0.5, "class id"), (-7, 0.5, "class id"), (1, float("nan"), "score"), (1, float("inf"), "score")],
+    )
+    def test_bad_class_or_score_rejected(self, tmp_path, class_id, score, message):
+        path = tmp_path / "bad.pred"
+        write_predictions(path, [make_prediction(10, [1], class_id, score)], 10)
+        with pytest.raises(ValueError, match=message):
+            read_predictions(path)
+
     def test_truncation_rejected(self, tmp_path):
         preds = [make_prediction(10, [1, 3, 5])]
         path = tmp_path / "trunc.pred"
