@@ -81,17 +81,17 @@ class AggregatorBlock:
             raise ValueError("neighbor count must be at least 1")
         if len(self.layers) != 3:
             raise ValueError("the shared map has exactly three layers")
-        d = ad.value_of(self.layers[0][0]).shape[1]
+        d = self.layers[0][0].shape[1]
         expected = [(d + 3, d), (d, d), (d, d)]
         for (w, b), (c_in, c_out) in zip(self.layers, expected):
-            if ad.value_of(w).shape != (c_in, c_out) or ad.value_of(b).shape != (c_out,):
+            if w.shape != (c_in, c_out) or b.shape != (c_out,):
                 raise ValueError(f"layer shapes must follow ({d}+3)->{d}->{d}->{d}")
 
 
 def _shared_map(block: AggregatorBlock, x: Var) -> Var:
     h = x
     for i, (w, b) in enumerate(block.layers):
-        h = ad.add(ad.matmul(h, as_var(w)), as_var(b))
+        h = ad.add(ad.matmul(h, w), b)
         if i < 2:
             h = ad.relu(h)
     return h
@@ -144,7 +144,7 @@ def heads(candidate_features, p: dict):
     e = as_var(candidate_features)
 
     def affine(name: str) -> Var:
-        return ad.add(ad.matmul(e, as_var(p[f"head.{name}_w"])), as_var(p[f"head.{name}_b"]))
+        return ad.add(ad.matmul(e, p[f"head.{name}_w"]), p[f"head.{name}_b"])
 
     cls = affine("cls")
     box = box_from_raw(affine("box"))

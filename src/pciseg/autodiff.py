@@ -115,10 +115,6 @@ def parameter(x) -> Var:
     return Var(np.array(x, dtype=np.float64), requires_grad=True)
 
 
-def value_of(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
 def _make(value, parents, vjp) -> Var:
     if any(p.requires_grad for p in parents):
         return Var(value, True, tuple(parents), vjp)
@@ -214,23 +210,6 @@ def absolute(x) -> Var:
         record(np.sign(x.value))
     # The vjp recomputes the sign: keeping it alive beside the output costs memory.
     return _make(np.abs(x.value), (x,), lambda g: (g * np.sign(x.value),))
-
-
-def exp(x) -> Var:
-    x = as_var(x)
-    out = np.exp(x.value)
-    return _make(out, (x,), lambda g: (g * out,))
-
-
-def log(x) -> Var:
-    x = as_var(x)
-    return _make(np.log(x.value), (x,), lambda g: (g / x.value,))
-
-
-def sqrt(x) -> Var:
-    x = as_var(x)
-    out = np.sqrt(x.value)
-    return _make(out, (x,), lambda g: (g * 0.5 / out,))
 
 
 def sigmoid(x) -> Var:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, scenegen
-from .evalmetrics import average_precision, coverage_metrics, evaluate
+from .evalmetrics import evaluate
 from .sampling import (
     OccupancyState,
     fps,
@@ -134,27 +134,15 @@ def cmd_eval(args) -> int:
             raise SystemExit(f"prediction point count mismatch for {path.stem}")
         scenes.append(scene)
         predictions.append(preds)
-    if args.metrics == "ap":
-        ap, per_class = average_precision(predictions, scenes)
-        report = {"AP": ap, "per_class": per_class}
-    elif args.metrics == "cov":
-        mcov, mwcov, mprec, mrec = coverage_metrics(predictions, scenes)
-        report = {"mCov": mcov, "mWCov": mwcov, "mPrec50": mprec, "mRec50": mrec}
-    else:
-        full = evaluate(predictions, scenes)
-        report = full.as_dict() | {"per_class": full.per_class}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    report = evaluate(predictions, scenes)
+    print(json.dumps(report.as_dict() | {"per_class": report.per_class}, indent=2, sort_keys=True))
     if args.csv:
-        per_class = report.get("per_class", {})
+        metric_names = sorted(next(iter(report.per_class.values())))
         with open(args.csv, "w", newline="") as f:
             writer = csv.writer(f)
-            metric_names = sorted(next(iter(per_class.values())).keys()) if per_class else []
             writer.writerow(["class"] + metric_names)
-            for class_id, values in sorted(per_class.items()):
-                if isinstance(values, dict):
-                    writer.writerow([class_id] + [f"{values[m]:.6f}" for m in metric_names])
-                else:
-                    writer.writerow([class_id, f"{values:.6f}"])
+            for class_id, values in sorted(report.per_class.items()):
+                writer.writerow([class_id] + [f"{values[m]:.6f}" for m in metric_names])
     return 0
 
 
@@ -209,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--gt-dir", required=True)
-    p.add_argument("--metrics", choices=("ap", "cov", "all"), default="all")
     p.add_argument("--csv", help="optional per-class CSV output path")
     p.set_defaults(func=cmd_eval)
 

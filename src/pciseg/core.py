@@ -196,16 +196,22 @@ def aabb_giou(a: Aabb, b: Aabb) -> float:
     return iou - (hull - union) / hull
 
 
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection-over-union of two binary masks; 1 when both are empty."""
-    a = np.asarray(a).astype(bool)
-    b = np.asarray(b).astype(bool)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("masks must be 1-D and of equal length")
-    union = int(np.count_nonzero(a | b))
-    if union == 0:
-        return 1.0
-    return float(np.count_nonzero(a & b)) / union
+def mask_iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Intersection-over-union of binary masks; 1 where both are empty.
+
+    Two (N,) masks give a float; stacks of shape (P, N) and (G, N) give the
+    (P, G) matrix. The counts come from a float64 matmul of 0/1 values,
+    which is exact for N < 2**53, so every entry equals the pairwise value.
+    """
+    a = np.asarray(a).astype(bool).astype(np.float64)
+    b = np.asarray(b).astype(bool).astype(np.float64)
+    if a.ndim != b.ndim or a.ndim not in (1, 2) or a.shape[-1] != b.shape[-1]:
+        raise ValueError("masks must be two 1-D masks or two 2-D stacks of equal length")
+    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+    inter = a2 @ b2.T
+    union = a2.sum(axis=1)[:, None] + b2.sum(axis=1)[None, :] - inter
+    iou = np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    return float(iou[0, 0]) if a.ndim == 1 else iou
 
 
 def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:

@@ -361,14 +361,15 @@ def nms(masks: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int
     A mask is dropped when its IoU with an already-kept mask strictly
     exceeds the threshold.
     """
-    masks = np.asarray(masks).astype(bool)
+    masks = np.asarray(masks)
     scores = np.asarray(scores, dtype=np.float64)
     if masks.shape[0] != scores.shape[0]:
         raise ValueError("masks and scores must align")
+    ious = mask_iou(masks, masks)
     order = np.lexsort((np.arange(scores.size), -scores))
     kept: list[int] = []
     for idx in order:
-        if all(mask_iou(masks[idx], masks[keep]) <= iou_threshold for keep in kept):
+        if np.all(ious[idx, kept] <= iou_threshold):
             kept.append(int(idx))
     return kept
 

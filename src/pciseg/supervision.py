@@ -249,7 +249,7 @@ def instance_loss_terms(
         gt_boxes = targets.boxes[gts]
         terms["box"] = ad.mean(box_l1(pair_boxes, gt_boxes) + (1.0 - box_giou(pair_boxes, gt_boxes)))
 
-        hard = binarize(ad.value_of(probs))
+        hard = binarize(probs.value)
         ad.record(hard)  # quality targets are a discrete function of the masks
         realized = np.asarray(
             [mask_iou(hard[row], targets.masks[gts[row]]) for row in range(cands.size)]

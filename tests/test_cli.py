@@ -81,7 +81,7 @@ def test_train_infer_eval_round_trip(tmp_path, scene_dir, capsys):
 
     csv_path = tmp_path / "per_class.csv"
     assert main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(scene_dir),
-                 "--metrics", "all", "--csv", str(csv_path)]) == 0
+                 "--csv", str(csv_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     for key in ("AP", "AP50", "AP25", "BoxAP50", "BoxAP25", "mCov", "mWCov", "mPrec50", "mRec50"):
         assert key in report
@@ -102,10 +102,12 @@ def test_eval_ap_only(tmp_path, scene_dir, capsys):
     for scene_path in sorted(scene_dir.glob("*.scene")):
         scene = read_scene(scene_path)
         write_predictions(pred_dir / (scene_path.stem + ".pred"), [], scene.num_points)
-    assert main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(scene_dir),
-                 "--metrics", "ap"]) == 0
+    assert main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(scene_dir)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["AP"] == 0.0
+    assert report["mCov"] == report["mRec50"] == 0.0
+    with pytest.raises(SystemExit):  # the full report is the only one
+        main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(scene_dir), "--metrics", "ap"])
 
 
 def test_unknown_config_key_rejected(tmp_path):

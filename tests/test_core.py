@@ -122,6 +122,28 @@ class TestMaskIou:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mask_iou(np.zeros(3, dtype=bool), np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError):
+            mask_iou(np.zeros((2, 3), dtype=bool), np.zeros((5, 4), dtype=bool))
+        with pytest.raises(ValueError):
+            mask_iou(np.zeros(3, dtype=bool), np.zeros((5, 3), dtype=bool))
+
+    def test_stacks_equal_pairwise_counts(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 300):
+            a = rng.uniform(size=(6, n)) < rng.uniform(size=(6, 1))
+            b = rng.uniform(size=(5, n)) < rng.uniform(size=(5, 1))
+            a[[1, 4]] = False
+            b[2] = False
+            got = mask_iou(a, b)
+            assert got.shape == (6, 5) and got.dtype == np.float64
+            for i in range(6):
+                for j in range(5):
+                    union = np.count_nonzero(a[i] | b[j])
+                    expected = np.count_nonzero(a[i] & b[j]) / union if union else 1.0
+                    assert got[i, j] == expected  # bit-identical, not approximate
+                    assert mask_iou(a[i], b[j]) == expected
+            assert got[1, 2] == got[4, 2] == 1.0
+        assert mask_iou(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
 
 
 class TestDice:

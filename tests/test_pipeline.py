@@ -156,6 +156,27 @@ class TestNms:
         masks = np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=bool)
         assert nms(masks, np.array([0.8, 0.8]), 0.2) == [0]
 
+    def test_matches_pairwise_greedy_oracle(self):
+        def oracle(masks, scores, threshold):
+            order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+            kept = []
+            for i in order:
+                ious = []
+                for k in kept:
+                    union = np.count_nonzero(masks[i] | masks[k])
+                    ious.append(np.count_nonzero(masks[i] & masks[k]) / union if union else 1.0)
+                if all(iou <= threshold for iou in ious):
+                    kept.append(i)
+            return kept
+
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            k = int(rng.integers(0, 14))
+            masks = rng.uniform(size=(k, 30)) < rng.uniform(0.1, 0.7, size=(k, 1))
+            scores = rng.choice([0.2, 0.5, 0.9], size=k)  # many ties
+            threshold = float(rng.choice([0.0, 0.2, 0.5]))
+            assert nms(masks, scores, threshold) == oracle(masks, scores, threshold)
+
 
 class TestSuperpointAlign:
     def test_fully_covered_superpoint_in(self):
