@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, as_var
+from .autodiff import Var
 
 
 def ball_query(
@@ -66,8 +66,7 @@ class AggregatorBlock:
     """One aggregation block: query radius, neighbor count, shared map.
 
     ``layers`` holds three (weight, bias) pairs with widths
-    (D+3)->D->D->D; ReLU follows the first two maps only. Weights may be
-    plain arrays or tape variables.
+    (D+3)->D->D->D; ReLU follows the first two maps only.
     """
 
     radius: float
@@ -111,7 +110,6 @@ def aggregate_batch(
     radius. Offsets are divided by the radius, so every coordinate lies in
     [-1, 1] for genuine in-radius neighbors. Returns (K, D).
     """
-    features = as_var(features)
     positions = np.asarray(positions, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.int64)
     neighbors = np.asarray(neighbors, dtype=np.int64)
@@ -132,7 +130,7 @@ def box_from_raw(raw: Var) -> Var:
     return ad.concat([ad.sub(center, half), ad.add(center, half)], axis=-1)
 
 
-def heads(candidate_features, p: dict):
+def heads(candidate_features: Var, p: dict):
     """Class logits, boxes, flat kernels, and quality logits per candidate.
 
     Reads the affine heads' weights and biases from the ``head.*`` entries
@@ -141,13 +139,11 @@ def heads(candidate_features, p: dict):
     Returns tape variables (L, B, W, q) with shapes (K, C), (K, 6), (K, H'),
     (K,).
     """
-    e = as_var(candidate_features)
-
     def affine(name: str) -> Var:
-        return ad.add(ad.matmul(e, p[f"head.{name}_w"]), p[f"head.{name}_b"])
+        return ad.add(ad.matmul(candidate_features, p[f"head.{name}_w"]), p[f"head.{name}_b"])
 
     cls = affine("cls")
     box = box_from_raw(affine("box"))
     kernel = affine("ker")
-    quality = ad.reshape(affine("q"), (e.shape[0],))
+    quality = ad.reshape(affine("q"), (candidate_features.shape[0],))
     return cls, box, kernel, quality

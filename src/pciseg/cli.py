@@ -33,7 +33,10 @@ logger = logging.getLogger(__name__)
 
 
 def _load_dataclass(cls, path: str | None):
-    """Build a config dataclass from a JSON file, rejecting unknown keys."""
+    """Build a config dataclass from a JSON file, rejecting unknown keys.
+
+    JSON lists become tuples, the type of every sequence-valued field.
+    """
     if path is None:
         return cls()
     raw = json.loads(Path(path).read_text())
@@ -41,14 +44,7 @@ def _load_dataclass(cls, path: str | None):
     unknown = set(raw) - known
     if unknown:
         raise SystemExit(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-    for key in ("chunk_sizes", "layout_dims", "radii", "background_classes", "scenario_weights", "room_size"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
-    if "loss_weights" in raw and isinstance(raw["loss_weights"], dict):
-        from .supervision import LossWeights
-
-        raw["loss_weights"] = LossWeights(**raw["loss_weights"])
-    return cls(**raw)
+    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
 def _scene_files(directory: Path) -> list[Path]:

@@ -274,7 +274,6 @@ class Prediction:
     box: Aabb
     mask: np.ndarray
     soft_mask: np.ndarray | None = None
-    class_dist: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask).astype(bool))

@@ -14,7 +14,8 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit, softmax
@@ -22,7 +23,7 @@ from scipy.special import expit, softmax
 from . import autodiff as ad
 from .aggregator import AggregatorBlock, aggregate_batch, ball_query, box_from_raw, heads
 from .autodiff import Var
-from .core import Aabb, Prediction, Scene, binarize, mask_iou, voxelize
+from .core import BINARIZE_THRESHOLD, Aabb, Prediction, Scene, binarize, mask_iou, voxelize
 from .dynconv import KernelLayout, decoder_logits
 from .evalmetrics import average_precision
 from .sampling import OccupancyState, SampleBudget, fps, ia_fps_infer
@@ -32,7 +33,6 @@ from .supervision import (
     InstancePredictions,
     InstanceTargets,
     LossReport,
-    LossWeights,
     instance_loss_terms,
     matching_cost_matrix,
     one_to_many_match,
@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 
 ENCODER_KNN = 16
 ENCODER_INPUT_DIM = 18
+DUPLICATION = 4  # candidates that matching may assign to one ground-truth instance
 
 MODEL_MAGIC = b"PCMODEL\x00"
 MODEL_VERSION = 1
@@ -50,46 +51,40 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All pipeline knobs: architecture, sampling, decoding, and training."""
+    """Pipeline settings: architecture, sampling, decoding, and training.
+
+    The class constants are fixed parts of the method, not settings.
+    """
+
+    # foreground: 1 - P(background classes) > tau
+    tau: ClassVar[float] = 0.5
+    background_classes: ClassVar[tuple[int, ...]] = (0,)
+    nms_iou: ClassVar[float] = 0.2
+    binarize_threshold: ClassVar[float] = BINARIZE_THRESHOLD
 
     num_classes: int = 5
     d_model: int = 32
     mask_dim: int = 32
     layout_dims: tuple[int, ...] = (41, 32, 1)
     geo_cue: str = "on"  # "on" | "zero" (box-difference features zeroed)
-    tau: float = 0.5
     chunk_sizes: tuple[int, ...] = (192, 128, 64)
     k_train: int = 256
     stage1_budget: int = 512
-    duplication: int = 4
     radii: tuple[float, float] = (0.2, 0.4)
     num_neighbors: int = 32
-    nms_iou: float = 0.2
-    binarize_threshold: float = 0.5
-    background_classes: tuple[int, ...] = (0,)
     voxel_size: float | None = None
     devoxelization: str = "late"  # "early" | "late"
     decode_chunk: int = 96
     # training
     learning_rate: float = 5e-3
-    rms_decay: float = 0.9
-    rms_eps: float = 1e-8
     grad_clip: float = 5.0
     batch_size: int = 4
     epochs: int = 40
     eval_every: int = 10
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    pointwise_box_weight: float = 1.0
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need background plus at least one instance class")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
-        if not (0.0 < self.nms_iou < 1.0):
-            raise ValueError("NMS threshold must lie in (0, 1)")
-        if not (0.0 < self.binarize_threshold < 1.0):
-            raise ValueError("binarization threshold must lie in (0, 1)")
         if self.geo_cue not in ("on", "zero"):
             raise ValueError("geo_cue must be on or zero")
         if self.devoxelization not in ("early", "late"):
@@ -100,13 +95,8 @@ class PipelineConfig:
                 f"layout input width {self.layout_dims[0]} does not match the decoder "
                 f"input ({self.mask_dim + 9})"
             )
-        if self.k_train < 1 or self.stage1_budget < 1 or self.duplication < 1:
-            raise ValueError("sampling budgets and duplication must be positive")
-
-    @property
-    def candidate_classes(self) -> int:
-        # instance classes (semantic 1..C-1) plus a trailing no-object slot
-        return self.num_classes
+        if self.k_train < 1 or self.stage1_budget < 1:
+            raise ValueError("sampling budgets must be positive")
 
     def kernel_layout(self) -> KernelLayout:
         return KernelLayout(self.layout_dims)
@@ -148,9 +138,10 @@ def _param_specs(config: PipelineConfig) -> list[tuple[str, tuple[int, ...]]]:
         for i in range(3):
             specs.append((f"{name}.w{i}", (pa_widths[i], pa_widths[i + 1])))
             specs.append((f"{name}.b{i}", (pa_widths[i + 1],)))
+    # candidate classes: the instance classes 1..C-1 plus a trailing no-object slot
     specs += [
-        ("head.cls_w", (d, config.candidate_classes)),
-        ("head.cls_b", (config.candidate_classes,)),
+        ("head.cls_w", (d, c)),
+        ("head.cls_b", (c,)),
         ("head.box_w", (d, 6)),
         ("head.box_b", (6,)),
         ("head.ker_w", (d, hp)),
@@ -391,16 +382,15 @@ def superpoint_align(mask_values: np.ndarray, superpoints: np.ndarray | None) ->
 
 
 def _score_candidates(class_logits: np.ndarray, quality_logits: np.ndarray):
-    """Semantic class ids, confidence scores, and class distributions.
+    """Semantic class ids and confidence scores.
 
     Confidence is the best instance-class probability times the squashed
     quality logit; the trailing no-object column never wins a class.
     """
-    probs = softmax(class_logits, axis=1)
-    inst_probs = probs[:, :-1]
+    inst_probs = softmax(class_logits, axis=1)[:, :-1]
     best_col = inst_probs.argmax(axis=1)
     scores = inst_probs.max(axis=1) * expit(quality_logits)
-    return best_col + 1, scores, probs
+    return best_col + 1, scores
 
 
 def infer(
@@ -481,8 +471,8 @@ def infer(
     cls_logits, boxes, quality, soft_masks = (np.concatenate(parts) for parts in zip(*chunks))
     t2 = time.perf_counter()
 
-    class_ids, scores, class_probs = _score_candidates(cls_logits, quality)
-    binary = binarize(soft_masks, config.binarize_threshold)
+    class_ids, scores = _score_candidates(cls_logits, quality)
+    binary = binarize(soft_masks)
     nonempty = np.flatnonzero(binary.any(axis=1))
     kept = [int(nonempty[i]) for i in nms(binary[nonempty], scores[nonempty], config.nms_iou)]
 
@@ -492,7 +482,7 @@ def infer(
         aligned = (
             superpoint_align(soft, scene.superpoints)
             if scene.superpoints is not None
-            else binarize(soft, config.binarize_threshold)
+            else binarize(soft)
         )
         if not aligned.any():
             continue
@@ -504,7 +494,6 @@ def infer(
                 box=Aabb(box_vec[:3], box_vec[3:]),
                 mask=aligned,
                 soft_mask=soft,
-                class_dist=class_probs[idx],
             )
         )
     predictions.sort(key=lambda pr: -pr.score)
@@ -556,7 +545,7 @@ def scene_loss(
     candidate heads, and the mask decoder.
     """
     feats, sem, point_boxes, fmask = _forward_pointwise(scene, model_vars, config, cache)
-    pt_terms = pointwise_terms(sem, point_boxes, scene, config.pointwise_box_weight)
+    pt_terms = pointwise_terms(sem, point_boxes, scene)
 
     positions = scene.positions
     background = softmax(sem.value, axis=1)[:, list(config.background_classes)].sum(axis=1)
@@ -591,14 +580,13 @@ def scene_loss(
             softmax(cls_logits.value, axis=1),
             targets.masks,
             targets.classes,
-            config.loss_weights,
         )
-        assignment = one_to_many_match(costs, config.duplication)
+        assignment = one_to_many_match(costs, DUPLICATION)
         ad.record(np.asarray(assignment.pairs))
     else:
         assignment = Assignment((), tuple(range(candidates.size)), 1)
     preds = InstancePredictions(mask_logits, cls_logits, boxes, quality)
-    inst_terms = instance_loss_terms(assignment, preds, targets, config.loss_weights)
+    inst_terms = instance_loss_terms(assignment, preds, targets)
 
     total = ad.add(pt_terms["total"], inst_terms["total"])
     values = {
@@ -611,7 +599,7 @@ def scene_loss(
     }
     if not all(np.isfinite(v) for v in values.values()):
         raise RuntimeError(f"non-finite loss (diverged): {values}")
-    return total, LossReport(weights=config.loss_weights, **values)
+    return total, LossReport(**values)
 
 
 def train(
@@ -633,9 +621,7 @@ def train(
             raise ValueError("scene class count does not match the config")
     model = ModelParams.initialize(config, seed)
     caches = [build_encoder_cache(scene, config) for scene in dataset]
-    optimizer = RmsProp(
-        model.params, config.learning_rate, config.rms_decay, config.rms_eps, config.grad_clip
-    )
+    optimizer = RmsProp(model.params, config.learning_rate, clip=config.grad_clip)
     history: list[dict] = []
     for epoch in range(config.epochs):
         sums: dict[str, float] = {}

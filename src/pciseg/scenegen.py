@@ -28,6 +28,8 @@ PRED_MAGIC = b"PCPREDS\x00"
 PRED_VERSION = 1
 
 SCENARIOS = ("packed", "loose", "uniform")
+NOISE_SIGMA = 0.01  # Gaussian position jitter; packed instances sit up to 2 sigma apart
+SUPERPOINT_VOXEL = 0.1  # superpoints are the occupied cells of this voxel grid
 
 # Object classes: 1 crate (cube-ish box), 2 ball, 3 drum (cylinder),
 # 4 slab (wide flat box). Background is class 0.
@@ -50,11 +52,9 @@ class GenConfig:
     min_instances: int = 2
     max_instances: int = 8
     scenario_weights: tuple[float, float, float] = (0.3, 0.3, 0.4)
-    noise_sigma: float = 0.01
     seed: int = 0
     room_size: tuple[float, float] = (4.0, 4.0)
     background_fraction: float = 0.45
-    superpoint_voxel: float = 0.1
 
     def __post_init__(self):
         if self.num_scenes < 1 or self.points_per_scene < 64:
@@ -68,8 +68,6 @@ class GenConfig:
         w = np.asarray(self.scenario_weights, dtype=np.float64)
         if w.shape != (3,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("scenario weights must be three nonnegative values summing to 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be nonnegative")
 
 
 class _PlacementError(RuntimeError):
@@ -208,7 +206,7 @@ def _build_objects(
         members = [_random_blob(rng, class_id) for _ in range(group)]
         _place(rng, members[0], room, occupied)
         for prev, nxt in zip(members, members[1:]):
-            gap = rng.uniform(0.0, 2.0 * config.noise_sigma) if config.noise_sigma > 0 else 0.0
+            gap = rng.uniform(0.0, 2.0 * NOISE_SIGMA)
             offset = prev.half_extent()[axis] + gap + nxt.half_extent()[axis]
             nxt.center = prev.center.copy()
             nxt.center[axis] += offset
@@ -310,7 +308,7 @@ def _assemble_scene(rng: np.random.Generator, config: GenConfig, scenario: str) 
     instance.append(np.full(n_background, -1, dtype=np.int32))
 
     positions = np.concatenate(positions)
-    positions += rng.normal(scale=config.noise_sigma, size=positions.shape)
+    positions += rng.normal(scale=NOISE_SIGMA, size=positions.shape)
     colors = np.clip(np.concatenate(colors) + rng.normal(scale=0.02, size=(positions.shape[0], 3)), 0.0, 1.0)
     semantic = np.concatenate(semantic)
     instance = np.concatenate(instance)
@@ -323,7 +321,7 @@ def _assemble_scene(rng: np.random.Generator, config: GenConfig, scenario: str) 
         instance_gt=instance[perm],
         num_classes=config.num_classes,
     )
-    superpoints = voxelize(scene, config.superpoint_voxel).point_to_voxel.astype(np.int32)
+    superpoints = voxelize(scene, SUPERPOINT_VOXEL).point_to_voxel.astype(np.int32)
     scene = replace(scene, superpoints=superpoints)
 
     _check_scenario(scene, objects, scenario)

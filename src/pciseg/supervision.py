@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .autodiff import Var, as_var
+from .autodiff import Var
 from .core import Scene, binarize, mask_iou
 
 LOG_EPS = 1e-12
@@ -107,13 +107,16 @@ def one_to_many_match(cost: np.ndarray, duplication: int) -> Assignment:
     return Assignment(tuple(pairs), tuple(unmatched), duplication)
 
 
-def dice_term(pred: Var, gt: np.ndarray) -> Var:
-    """Differentiable soft dice loss; constant 0 when both masks are empty."""
+def dice_term(probs: Var, gt: np.ndarray) -> Var:
+    """Soft dice loss of each mask row against its ground truth, (M,).
+
+    Sums run over the last axis, so one (N,) mask gives a scalar. Sigmoid
+    probabilities are positive, so every denominator is too.
+    """
     gt = np.asarray(gt, dtype=np.float64)
-    denom = ad.vsum(pred) + float(gt.sum())
-    if denom.value == 0.0:
-        return Var(0.0)
-    return 1.0 - 2.0 * ad.vsum(pred * Var(gt)) / denom
+    cross = ad.vsum(probs * Var(gt), axis=-1)
+    denom = ad.vsum(probs, axis=-1) + Var(gt.sum(axis=-1))
+    return 1.0 - 2.0 * cross / denom
 
 
 def bce_with_logits(logits: Var, targets: np.ndarray) -> Var:
@@ -168,16 +171,16 @@ def mask_scoring(quality_logits: Var, target_iou: np.ndarray) -> Var:
 
 @dataclass
 class InstancePredictions:
-    """Per-candidate predictions entering the instance loss (arrays or Vars).
+    """Per-candidate predictions entering the instance loss, on the tape.
 
     ``class_logits`` columns enumerate the instance classes followed by one
     trailing no-object column; ``mask_logits`` are raw decoder outputs.
     """
 
-    mask_logits: object
-    class_logits: object
-    boxes: object
-    quality_logits: object
+    mask_logits: Var
+    class_logits: Var
+    boxes: Var
+    quality_logits: Var
 
 
 @dataclass
@@ -218,10 +221,7 @@ def instance_loss_terms(
     mask-scoring terms average over the matched pairs and vanish when
     nothing is matched.
     """
-    mask_logits = as_var(preds.mask_logits)
-    class_logits = as_var(preds.class_logits)
-    boxes = as_var(preds.boxes)
-    quality = as_var(preds.quality_logits)
+    class_logits = preds.class_logits
     k = class_logits.shape[0]
     no_object = class_logits.shape[1] - 1
 
@@ -235,17 +235,12 @@ def instance_loss_terms(
 
     if cands.size:
         gts = assignment.matched_targets
-        pair_logits = mask_logits[cands]
+        pair_logits = preds.mask_logits[cands]
         gt_masks = targets.masks[gts].astype(np.float64)
         probs = ad.sigmoid(pair_logits)
-        # Ground-truth masks are nonempty, so the dice denominators are > 0.
-        cross = ad.vsum(probs * Var(gt_masks), axis=1)
-        denom = ad.vsum(probs, axis=1) + Var(gt_masks.sum(axis=1))
-        dice = ad.mean(1.0 - 2.0 * cross / denom)
-        bce = bce_with_logits(pair_logits, gt_masks)
-        terms["mask"] = dice + bce
+        terms["mask"] = ad.mean(dice_term(probs, gt_masks)) + bce_with_logits(pair_logits, gt_masks)
 
-        pair_boxes = boxes[cands]
+        pair_boxes = preds.boxes[cands]
         gt_boxes = targets.boxes[gts]
         terms["box"] = ad.mean(box_l1(pair_boxes, gt_boxes) + (1.0 - box_giou(pair_boxes, gt_boxes)))
 
@@ -254,7 +249,7 @@ def instance_loss_terms(
         realized = np.asarray(
             [mask_iou(hard[row], targets.masks[gts[row]]) for row in range(cands.size)]
         )
-        terms["ms"] = mask_scoring(quality[cands], realized)
+        terms["ms"] = mask_scoring(preds.quality_logits[cands], realized)
     else:
         terms["mask"] = Var(0.0)
         terms["box"] = Var(0.0)
@@ -273,7 +268,6 @@ def pointwise_terms(
     semantic_logits: Var,
     point_boxes: Var,
     scene: Scene,
-    box_weight: float = 1.0,
 ) -> dict[str, Var]:
     """Pointwise semantic cross-entropy plus per-point box regression.
 
@@ -289,9 +283,7 @@ def pointwise_terms(
         )
         per_point_gt = gt_boxes[scene.instance_gt[inst_points]]
         pred = point_boxes[inst_points]
-        terms["point_box"] = box_weight * ad.mean(
-            box_l1(pred, per_point_gt) + (1.0 - box_giou(pred, per_point_gt))
-        )
+        terms["point_box"] = ad.mean(box_l1(pred, per_point_gt) + (1.0 - box_giou(pred, per_point_gt)))
     else:
         terms["point_box"] = Var(0.0)
     terms["total"] = terms["semantic"] + terms["point_box"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pciseg.aggregator import AggregatorBlock, aggregate_batch, ball_query, heads
+from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout
 from pciseg.pipeline import PipelineConfig, _candidate_encoder
 
@@ -29,7 +30,7 @@ def zero_block(radius, q, width):
 def aggregate_at(block, feats, pts, centers):
     """One block at the given centers over all points, as the pipeline calls it."""
     nbrs = ball_query(pts, pts[centers], block.radius, block.num_neighbors, center_indices=centers)
-    return aggregate_batch(block, feats, pts, centers, nbrs).value
+    return aggregate_batch(block, Var(feats), pts, centers, nbrs).value
 
 
 def stacked_features(feats, pts, stage1, local_idx, blocks):
@@ -47,7 +48,7 @@ def stacked_features(feats, pts, stage1, local_idx, blocks):
     p |= make_heads(width, classes, 1)
     p["head.cls_w"] = np.eye(width, classes)
     config = PipelineConfig(radii=(blocks[0].radius, blocks[1].radius), num_neighbors=blocks[0].num_neighbors)
-    encode = _candidate_encoder(p, config, feats, pts, np.asarray(stage1))
+    encode = _candidate_encoder(p, config, Var(feats), pts, np.asarray(stage1))
     return encode(np.asarray(local_idx))[0].value[:, :width]
 
 
@@ -101,7 +102,7 @@ class TestLocalAggregate:
         block = zero_block(0.5, 3, width=2)
         feats = np.array([[1.0, -2.0], [0.5, 0.5]])
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0]])
-        out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[0, 1, 1]]))
+        out = aggregate_batch(block, Var(feats), pts, np.array([0]), np.array([[0, 1, 1]]))
         assert np.array_equal(out.value, feats[:1])
 
     def test_hand_computed_all_ones_map(self):
@@ -111,7 +112,7 @@ class TestLocalAggregate:
         block = ones_block(radius=1.0, q=2)
         feats = np.array([[1.0], [2.0], [-1.0]])
         pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [-0.25, 0, 0]])
-        out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[1, 2]]))
+        out = aggregate_batch(block, Var(feats), pts, np.array([0]), np.array([[1, 2]]))
         assert out.value[0, 0] == pytest.approx(3.5)
 
     def test_self_neighborhood(self):
@@ -125,7 +126,7 @@ class TestLocalAggregate:
         block = AggregatorBlock(0.4, 2, layers)
         feats = rng.normal(size=(1, width))
         pts = np.zeros((1, 3))
-        out = aggregate_batch(block, feats, pts, np.array([0]), np.array([[0, 0]])).value[0]
+        out = aggregate_batch(block, Var(feats), pts, np.array([0]), np.array([[0, 0]])).value[0]
         x = np.concatenate([feats[0], np.zeros(3)])
         h = np.maximum(x @ layers[0][0] + layers[0][1], 0)
         h = np.maximum(h @ layers[1][0] + layers[1][1], 0)
@@ -217,7 +218,7 @@ class TestHeads:
     def test_zero_weights(self):
         hp = KernelLayout((41, 32, 1)).param_count
         e = np.random.default_rng(0).normal(size=(3, 8))
-        cls, box, kernel, quality = (v.value for v in heads(e, make_heads(8, 5, hp)))
+        cls, box, kernel, quality = (v.value for v in heads(Var(e), make_heads(8, 5, hp)))
         assert np.array_equal(cls, np.zeros((3, 5)))
         softplus0 = np.log(2.0)
         assert np.allclose(box[:, 3:] - box[:, :3], softplus0)
@@ -228,7 +229,7 @@ class TestHeads:
         hp = KernelLayout((41, 32, 1)).param_count
         assert hp == 1376
         e = np.zeros((2, 8))
-        _, _, kernel, _ = heads(e, make_heads(8, 5, hp))
+        _, _, kernel, _ = heads(Var(e), make_heads(8, 5, hp))
         assert kernel.shape == (2, 1376)
 
     def test_single_weight_hand_computation(self):
@@ -237,7 +238,7 @@ class TestHeads:
         head["head.cls_w"] = np.array([[2.0, 0.0]])
         head["head.cls_b"] = np.array([1.0, 0.0])
         e = np.array([[1.0], [2.0]])
-        cls = heads(e, head)[0].value
+        cls = heads(Var(e), head)[0].value
         assert np.allclose(cls, [[3.0, 0.0], [5.0, 0.0]])
 
     def test_box_invariant_min_leq_max(self):
@@ -254,6 +255,6 @@ class TestHeads:
             "head.q_b": rng.normal(size=1),
         }
         e = rng.normal(size=(20, 4))
-        box = heads(e, head)[1].value
+        box = heads(Var(e), head)[1].value
         assert np.all(box[:, :3] <= box[:, 3:])
 

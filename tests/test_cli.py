@@ -115,3 +115,30 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"bogus_knob": 3}))
     with pytest.raises(SystemExit, match="bogus_knob"):
         main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+
+
+REMOVED_KEYS = [
+    ("train", "tau", 0.5),
+    ("train", "nms_iou", 0.2),
+    ("train", "binarize_threshold", 0.5),
+    ("train", "background_classes", [0]),
+    ("train", "duplication", 4),
+    ("train", "rms_decay", 0.9),
+    ("train", "rms_eps", 1e-8),
+    ("train", "pointwise_box_weight", 1.0),
+    ("train", "loss_weights", {"gamma_mask": 5.0}),
+    ("generate", "noise_sigma", 0.01),
+    ("generate", "superpoint_voxel", 0.1),
+]
+
+
+@pytest.mark.parametrize("command, key, value", REMOVED_KEYS, ids=[f"{c}-{k}" for c, k, _ in REMOVED_KEYS])
+def test_removed_config_key_rejected(tmp_path, command, key, value):
+    # Constants of the method, no longer settings: an old config naming one fails loudly.
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--data", str(tmp_path)]
+    with pytest.raises(SystemExit, match=f"unknown config keys.*'{key}'"):
+        main(args)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 
 from pciseg import autodiff as ad
 from pciseg import pipeline
-from pciseg.core import mask_iou
+from pciseg.core import BINARIZE_THRESHOLD, mask_iou
 from pciseg.pipeline import (
     MODEL_MAGIC,
     ModelParams,
@@ -92,6 +93,25 @@ def oracle_model(config) -> ModelParams:
 
     model.params.update(p)
     return model
+
+
+class TestConfig:
+    CONSTANTS = {"tau": 0.5, "nms_iou": 0.2, "binarize_threshold": 0.5, "background_classes": (0,)}
+
+    def test_constants_read_from_an_instance(self):
+        config = PipelineConfig()
+        for name, value in self.CONSTANTS.items():
+            assert getattr(config, name) == value
+        assert PipelineConfig.binarize_threshold == BINARIZE_THRESHOLD
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
+    def test_constants_are_not_settings(self, name):
+        with pytest.raises(TypeError):
+            PipelineConfig(**{name: self.CONSTANTS[name]})
+
+    def test_settable_field_counts(self):
+        assert len(dataclasses.fields(PipelineConfig)) == 18
+        assert len(dataclasses.fields(GenConfig)) == 9
 
 
 class TestEncode:

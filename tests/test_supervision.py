@@ -146,7 +146,7 @@ def perfect_predictions(gt_masks, gt_classes, gt_boxes, num_columns):
     class_logits = np.full((k, num_columns), -40.0)
     class_logits[np.arange(k), gt_classes] = 40.0
     quality = np.full(k, logit(1.0 - 1e-12))  # realized IoU is exactly 1
-    return InstancePredictions(mask_logits, class_logits, gt_boxes.copy(), quality)
+    return InstancePredictions(Var(mask_logits), Var(class_logits), Var(gt_boxes), Var(quality))
 
 
 class TestInstanceLoss:
@@ -182,12 +182,23 @@ class TestInstanceLoss:
         boxes = self.gt_boxes[:1].copy()
         realized = mask_iou(binarize(probs), gt)
         quality = np.array([float(logit(np.clip(realized, 1e-12, 1 - 1e-12)))])
-        preds = InstancePredictions(masks, cls, boxes, quality)
+        preds = InstancePredictions(Var(masks), Var(cls), Var(boxes), Var(quality))
         targets = InstanceTargets(gt[None], np.array([0]), boxes)
         weights = LossWeights(lambda_box=0.0, lambda_mask=5.0, lambda_ms=0.0)
         terms = instance_loss_terms(Assignment(((0, 0),), (), 1), preds, targets, weights)
         assert float(terms["mask"].value) == pytest.approx(dice + bce, abs=1e-9)
         assert float(terms["total"].value) == pytest.approx(5.0 * (dice + bce), abs=1e-7)
+
+    def test_dice_rows_match_core_dice(self):
+        # Row-wise dice (the mask term's) equals the scalar dice of each row.
+        rng = np.random.default_rng(4)
+        probs = rng.uniform(size=(3, 10))
+        gt = rng.uniform(size=(3, 10)) > 0.5
+        rows = dice_term(Var(probs), gt.astype(float)).value
+        assert rows.shape == (3,)
+        for row, p, g in zip(rows, probs, gt):
+            assert row == pytest.approx(dice_loss(p, g.astype(float)), abs=1e-15)
+            assert dice_term(Var(p), g.astype(float)).value == row
 
     def test_box_term_example(self):
         # L1 sums the six coordinate gaps (1.0); IoU 1/2 with a zero hull
@@ -283,6 +294,8 @@ class TestGradientChecks:
         n = 16
         gt = rng.uniform(size=n) > 0.5
         gt_float = gt.astype(float)
+        rows_rng = np.random.default_rng(8)
+        gt_rows = (rows_rng.uniform(size=(3, n)) > 0.5).astype(float)
         checks = {
             "dice": (lambda p: dice_term(ad.sigmoid(p["z"]), gt_float), {"z": rng.normal(size=n)}),
             "bce": (lambda p: bce_with_logits(p["z"], gt_float), {"z": rng.normal(size=n)}),
@@ -297,6 +310,10 @@ class TestGradientChecks:
             "ms": (
                 lambda p, target=rng.uniform(size=3): mask_scoring(p["q"], target),
                 {"q": rng.normal(size=3)},
+            ),
+            "dice rows": (
+                lambda p: ad.mean(dice_term(ad.sigmoid(p["z"]), gt_rows)),
+                {"z": rows_rng.normal(size=(3, n))},
             ),
         }
         for name, (fn, params) in checks.items():
@@ -354,13 +371,13 @@ class TestInstanceTargets:
         targets = InstanceTargets.from_scene(two_cluster_scene)
         k, n = 3, 16
         preds = InstancePredictions(
-            rng.normal(size=(k, n)),
-            rng.normal(size=(k, 5)),
-            np.concatenate([rng.normal(size=(k, 3)), np.full((k, 3), 2.0)], axis=1),
-            rng.normal(size=k),
+            Var(rng.normal(size=(k, n))),
+            Var(rng.normal(size=(k, 5))),
+            Var(np.concatenate([rng.normal(size=(k, 3)), np.full((k, 3), 2.0)], axis=1)),
+            Var(rng.normal(size=k)),
         )
         costs = matching_cost_matrix(
-            expit(preds.mask_logits), np.full((k, 5), 0.2), targets.masks, targets.classes
+            expit(preds.mask_logits.value), np.full((k, 5), 0.2), targets.masks, targets.classes
         )
         assignment = one_to_many_match(costs, 2)
         terms = instance_loss_terms(assignment, preds, targets)
