@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Var
+from .core import ROUNDING_MARGIN, squared_distances
 
 
 def ball_query(
@@ -27,10 +29,12 @@ def ball_query(
 ) -> np.ndarray:
     """Up to Q in-radius neighbors per center, nearest first.
 
-    Neighbors are ordered by ascending distance with ties broken by lower
-    index; short lists are padded by repeating the first qualifying
-    neighbor. A center with no point in radius pads with its own index
-    when given, else with the globally nearest point.
+    Neighbors are the points whose squared distance is at most radius²,
+    ordered by (squared distance, index), so ties go to the lower index.
+    Only the in-radius pairs are sorted, never a full row. Short lists are
+    padded by repeating the first neighbor. A center with no point in
+    radius pads with its own index when given, else with the globally
+    nearest point (the lowest index among equally near ones).
     """
     positions = np.asarray(positions, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -40,25 +44,32 @@ def ball_query(
         raise ValueError("neighbor count must be at least 1")
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise ValueError("centers must be (K, 3)")
-    diff = centers[:, None, :] - positions[None, :, :]
-    d2 = np.einsum("kij,kij->ki", diff, diff)
-    order = np.argsort(d2, axis=1, kind="stable")
-    counts = (d2 <= radius * radius).sum(axis=1)
-    q = num_neighbors
-    out = order[:, :q].copy()
-    if out.shape[1] < q:
-        out = np.pad(out, ((0, 0), (0, q - out.shape[1])), mode="edge")
-    cols = np.arange(q)[None, :]
-    first = out[:, :1]
-    out = np.where(cols < counts[:, None], out, first)
+    # The trees propose pairs within a slightly larger radius; the exact
+    # squared distance, computed as a dense scan would, decides membership.
+    pairs = cKDTree(centers).sparse_distance_matrix(
+        cKDTree(positions), radius * (1.0 + ROUNDING_MARGIN), output_type="ndarray"
+    )
+    rows, cols = pairs["i"], pairs["j"]
+    d2 = squared_distances(centers[rows], positions[cols])
+    inside = d2 <= radius * radius
+    rows, cols, d2 = rows[inside], cols[inside], d2[inside]
+    order = np.lexsort((cols, d2, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=centers.shape[0])
+    starts = np.cumsum(counts) - counts
     empty = counts == 0
-    if empty.any():
-        if center_indices is not None:
-            fallback = np.asarray(center_indices, dtype=np.int64)[empty, None]
-        else:
-            fallback = order[empty, :1]
-        out[empty] = fallback
-    return out.astype(np.int64)
+    first = np.empty(centers.shape[0], dtype=np.int64)
+    first[~empty] = cols[starts[~empty]]
+    if center_indices is not None:
+        first[empty] = np.asarray(center_indices, dtype=np.int64)[empty]
+    elif empty.any():
+        # argmin takes the lower index among equally near points.
+        first[empty] = np.argmin(squared_distances(centers[empty, None, :], positions), axis=1)
+    out = np.repeat(first[:, None], num_neighbors, axis=1)
+    rank = np.arange(rows.size) - starts[rows]
+    keep = rank < num_neighbors
+    out[rows[keep], rank[keep]] = cols[keep]
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ import dataclasses
 import json
 import logging
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +35,41 @@ logger = logging.getLogger(__name__)
 
 
 def _load_dataclass(cls, path: str | None):
-    """Build a config dataclass from a JSON file, rejecting unknown keys.
+    """Build a config dataclass from a JSON file, rejecting unknown keys
+    and values whose JSON type does not fit the field.
 
     JSON lists become tuples, the type of every sequence-valued field.
     """
     if path is None:
         return cls()
     raw = json.loads(Path(path).read_text())
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise SystemExit(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if not _fits(value, hints[key]):
+            raise SystemExit(f"config key {key!r} of {cls.__name__} must be {fields[key].type}, got {value!r}")
     return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type; ints count as floats, bools as neither."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _scene_files(directory: Path) -> list[Path]:

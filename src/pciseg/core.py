@@ -179,6 +179,22 @@ def aabb_iou(a: Aabb, b: Aabb) -> float:
     return inter / union
 
 
+def aabb_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (P, G) :func:`aabb_iou` of (P, 6) and (G, 6) box vectors.
+
+    Rows are :meth:`Aabb.to_vector` layouts, min corner then max corner.
+    Every entry equals the pairwise value bit for bit, degenerate rule
+    included: a zero union gives 1 for identical boxes and 0 otherwise.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 6)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 6)
+    inter_extent = np.minimum(a[..., 3:], b[..., 3:]) - np.maximum(a[..., :3], b[..., :3])
+    inter = np.prod(np.maximum(inter_extent, 0.0), axis=-1)
+    union = np.prod(a[..., 3:] - a[..., :3], axis=-1) + np.prod(b[..., 3:] - b[..., :3], axis=-1) - inter
+    identical = np.all(a == b, axis=-1).astype(np.float64)
+    return np.divide(inter, union, out=identical, where=union > 0.0)
+
+
 def aabb_giou(a: Aabb, b: Aabb) -> float:
     """Generalized IoU: IoU minus the hull fraction not covered by the union.
 
@@ -194,6 +210,23 @@ def aabb_giou(a: Aabb, b: Aabb) -> float:
     if hull <= 0.0:
         return iou
     return iou - (hull - union) / hull
+
+
+# Relative slack between a k-d tree's distances and squared_distances:
+# far above float64 rounding, far below any gap that matters.
+ROUNDING_MARGIN = 1e-9
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances over the last axis of ``a - b``.
+
+    The shapes broadcast. One einsum fixes the arithmetic, so a pair of
+    points gets the same bits whatever the shapes of the call. The exact
+    neighbour searches take candidates from a k-d tree and decide with
+    these values, as a scan over every point would.
+    """
+    diff = a - b
+    return np.einsum("...i,...i->...", diff, diff)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

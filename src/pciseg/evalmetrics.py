@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Prediction, Scene, aabb_iou, mask_iou
+from .core import Prediction, Scene, aabb_iou_matrix, mask_iou
 
 AP_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -60,9 +60,9 @@ def _box_ious(predictions: Sequence[Sequence[Prediction]], scenes: Sequence[Scen
     """Per scene, the (P, G) box IoU of its predictions with its instances."""
     ious = []
     for scene, scene_preds in zip(scenes, predictions):
-        boxes = [scene.instance_box(j) for j in range(scene.num_instances)]
-        matrix = [[aabb_iou(pred.box, box) for box in boxes] for pred in scene_preds]
-        ious.append(np.array(matrix, dtype=np.float64).reshape(len(scene_preds), len(boxes)))
+        gt = [scene.instance_box(j).to_vector() for j in range(scene.num_instances)]
+        pred = [p.box.to_vector() for p in scene_preds]
+        ious.append(aabb_iou_matrix(np.reshape(pred, (-1, 6)), np.reshape(gt, (-1, 6))))
     return ious
 
 

@@ -18,12 +18,23 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import expit, softmax
 
 from . import autodiff as ad
 from .aggregator import AggregatorBlock, aggregate_batch, ball_query, box_from_raw, heads
 from .autodiff import Var
-from .core import BINARIZE_THRESHOLD, Aabb, Prediction, Scene, binarize, mask_iou, voxelize
+from .core import (
+    BINARIZE_THRESHOLD,
+    ROUNDING_MARGIN,
+    Aabb,
+    Prediction,
+    Scene,
+    binarize,
+    mask_iou,
+    squared_distances,
+    voxelize,
+)
 from .dynconv import KernelLayout, decoder_logits
 from .evalmetrics import average_precision
 from .sampling import OccupancyState, SampleBudget, fps, ia_fps_infer
@@ -42,6 +53,7 @@ from .supervision import (
 logger = logging.getLogger(__name__)
 
 ENCODER_KNN = 16
+KNN_SLACK = 8  # extra k-d tree candidates per point beyond the k kept
 ENCODER_INPUT_DIM = 18
 DUPLICATION = 4  # candidates that matching may assign to one ground-truth instance
 
@@ -203,21 +215,31 @@ def match_config(model: ModelParams, config: PipelineConfig) -> None:
 def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
     """Per-point raw encoder features: self plus k-nearest-neighbor stats.
 
-    Neighborhoods are the 16 nearest points (self included) under a
-    deterministic distance-then-index ordering, so duplicated coordinates
-    always receive identical rows.
+    Neighborhoods are the 16 nearest points, self included, ordered by
+    (squared distance, index): ties go to the lower index, so duplicated
+    coordinates always receive identical rows. A k-d tree proposes
+    ``ENCODER_KNN + KNN_SLACK`` candidates per point, whose squared
+    distances are recomputed with the same arithmetic as an exact scan
+    and re-sorted. A row whose k-th distance is not clearly below its
+    last candidate's may have a tie, or a rounding difference, across the
+    candidate boundary; only such rows are redone with an exact scan over
+    every point.
     """
     positions = np.asarray(positions, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.float64)
     m = positions.shape[0]
     k = min(ENCODER_KNN, m)
-    nn = np.empty((m, k), dtype=np.int64)
-    chunk = max(1, int(2_000_000 // max(m, 1)))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        diff = positions[start:stop, None, :] - positions[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        nn[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    kq = min(ENCODER_KNN + KNN_SLACK, m)
+    _, cand = cKDTree(positions).query(positions, k=kq)
+    cand = cand.reshape(m, kq)
+    d2 = squared_distances(positions[:, None, :], positions[cand])
+    order = np.lexsort((cand, d2), axis=-1)
+    nn = np.take_along_axis(cand, order[:, :k], axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    for i in np.flatnonzero(d2[:, k - 1] >= d2[:, -1] * (1.0 - ROUNDING_MARGIN)):
+        d2_i = squared_distances(positions[i], positions)
+        near = np.flatnonzero(d2_i <= np.partition(d2_i, k - 1)[k - 1])
+        nn[i] = near[np.argsort(d2_i[near], kind="stable")[:k]]
     npos = positions[nn]
     ncol = colors[nn]
     return np.concatenate(

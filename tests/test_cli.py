@@ -142,3 +142,36 @@ def test_removed_config_key_rejected(tmp_path, command, key, value):
         args += ["--data", str(tmp_path)]
     with pytest.raises(SystemExit, match=f"unknown config keys.*'{key}'"):
         main(args)
+
+
+MISTYPED_KEYS = [
+    ("generate", "num_scenes", "3", "int"),
+    ("generate", "seed", 1.5, "int"),
+    ("generate", "room_size", [4.0], r"tuple\[float, float\]"),
+    ("train", "chunk_sizes", 5, r"tuple\[int, \.\.\.\]"),
+    ("train", "num_neighbors", True, "int"),
+    ("train", "voxel_size", "0.1", r"float \| None"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, wanted", MISTYPED_KEYS, ids=[f"{c}-{k}" for c, k, _, _ in MISTYPED_KEYS])
+def test_mistyped_config_value_rejected(tmp_path, command, key, value, wanted):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--data", str(tmp_path)]
+    with pytest.raises(SystemExit, match=f"config key '{key}' .* must be {wanted}, got"):
+        main(args)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_of_the_field_types_accepted(tmp_path):
+    from pciseg.cli import _load_dataclass
+    from pciseg.pipeline import PipelineConfig
+
+    cfg = tmp_path / "typed.json"
+    # JSON integers are valid floats; null is a valid optional value.
+    cfg.write_text(json.dumps({"chunk_sizes": [8, 4], "radii": [1, 0.5], "voxel_size": None, "learning_rate": 1}))
+    config = _load_dataclass(PipelineConfig, str(cfg))
+    assert config.chunk_sizes == (8, 4) and config.radii == (1, 0.5) and config.voxel_size is None

@@ -10,6 +10,7 @@ from pciseg.core import (
     aabb_from_points,
     aabb_giou,
     aabb_iou,
+    aabb_iou_matrix,
     binarize,
     dice_loss,
     mask_iou,
@@ -101,6 +102,49 @@ def test_giou_symmetric_bounded_below_iou(a, b):
         # The open lower bound needs a union volume resolvable against the
         # hull in float64; disjoint (near-)zero-volume boxes reach -1.
         assert g1 > -1.0
+
+
+class TestAabbIouMatrix:
+    """Every entry equals the pairwise ``aabb_iou``, bit for bit."""
+
+    @staticmethod
+    def pairwise(a, b):
+        return np.array([[aabb_iou(p, g) for g in b] for p in a]).reshape(len(a), len(b))
+
+    @staticmethod
+    def matrix(a, b):
+        return aabb_iou_matrix(
+            np.reshape([box.to_vector() for box in a], (-1, 6)), np.reshape([box.to_vector() for box in b], (-1, 6))
+        )
+
+    def test_random_identical_and_zero_volume_boxes(self):
+        rng = np.random.default_rng(0)
+
+        def random_boxes(n):
+            lo = rng.normal(size=(n, 3))
+            extent = rng.random((n, 3)) * rng.choice([0.01, 1.0, 3.0], size=(n, 1))
+            extent[rng.random((n, 3)) < 0.15] = 0.0  # some boxes are flat along an axis or more
+            return [Aabb(lo[i], lo[i] + extent[i]) for i in range(n)]
+
+        gt = random_boxes(12)
+        point = Aabb((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
+        slab = Aabb((0.0, 0.0, 0.0), (1.0, 1.0, 0.0))
+        gt += [point, slab, Aabb(gt[0].min_corner, gt[0].max_corner)]
+        preds = random_boxes(40) + [gt[0], gt[3], point, slab, Aabb((9, 9, 9), (9, 9, 9))]
+        got, want = self.matrix(preds, gt), self.pairwise(preds, gt)
+        assert got.tobytes() == want.tobytes()
+        # The degenerate rule is exercised: identical zero-volume boxes give 1, distinct ones 0.
+        assert got[-3, -3] == 1.0 and got[-2, -2] == 1.0 and got[-1, -3] == 0.0
+
+    def test_empty_sides(self):
+        box = [unit_cube()]
+        assert self.matrix([], box).shape == (0, 1)
+        assert self.matrix(box, []).shape == (1, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(boxes, min_size=1, max_size=4), st.lists(boxes, min_size=1, max_size=4))
+    def test_matches_pairwise(self, a, b):
+        assert self.matrix(a, b).tobytes() == self.pairwise(a, b).tobytes()
 
 
 class TestMaskIou:
