@@ -26,6 +26,11 @@ from scipy.special import expit
 _signature_sink: list | None = None
 
 
+def recording() -> bool:
+    """Whether a branch signature is being captured."""
+    return _signature_sink is not None
+
+
 def record(bits: np.ndarray) -> None:
     """Append a discrete decision to the active branch signature, if any."""
     if _signature_sink is not None:
@@ -112,7 +117,12 @@ def parameter(x) -> Var:
     return Var(np.array(x, dtype=np.float64), requires_grad=True)
 
 
-def _make(value, parents, vjp) -> Var:
+def node(value, parents, vjp) -> Var:
+    """The result of an operation on ``parents``, with its vjp on the tape.
+
+    ``vjp`` maps the output's gradient to one gradient (or None) per parent.
+    Nothing is taped when no parent requires a gradient.
+    """
     if any(p.requires_grad for p in parents):
         return Var(value, True, tuple(parents), vjp)
     return Var(value)
@@ -133,7 +143,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _make(
+    return node(
         a.value + b.value,
         (a, b),
         lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
@@ -142,7 +152,7 @@ def add(a, b) -> Var:
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _make(
+    return node(
         a.value - b.value,
         (a, b),
         lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
@@ -151,7 +161,7 @@ def sub(a, b) -> Var:
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _make(
+    return node(
         a.value * b.value,
         (a, b),
         lambda g: (
@@ -163,7 +173,7 @@ def mul(a, b) -> Var:
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _make(
+    return node(
         a.value / b.value,
         (a, b),
         lambda g: (
@@ -176,7 +186,7 @@ def div(a, b) -> Var:
 def power(a, exponent: float) -> Var:
     a = as_var(a)
     exponent = float(exponent)
-    return _make(
+    return node(
         a.value ** exponent,
         (a,),
         lambda g: (g * exponent * a.value ** (exponent - 1.0),),
@@ -191,33 +201,33 @@ def matmul(a, b) -> Var:
         gb = _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)
         return ga, gb
 
-    return _make(a.value @ b.value, (a, b), vjp)
+    return node(a.value @ b.value, (a, b), vjp)
 
 
 def relu(x) -> Var:
     x = as_var(x)
     active = x.value > 0.0
     record(active)
-    return _make(np.maximum(x.value, 0.0), (x,), lambda g: (g * active,))
+    return node(np.maximum(x.value, 0.0), (x,), lambda g: (g * active,))
 
 
 def absolute(x) -> Var:
     x = as_var(x)
-    if _signature_sink is not None:
+    if recording():
         record(np.sign(x.value))
     # The vjp recomputes the sign: keeping it alive beside the output costs memory.
-    return _make(np.abs(x.value), (x,), lambda g: (g * np.sign(x.value),))
+    return node(np.abs(x.value), (x,), lambda g: (g * np.sign(x.value),))
 
 
 def sigmoid(x) -> Var:
     x = as_var(x)
     out = expit(x.value)
-    return _make(out, (x,), lambda g: (g * out * (1.0 - out),))
+    return node(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(x) -> Var:
     x = as_var(x)
-    return _make(np.logaddexp(0.0, x.value), (x,), lambda g: (g * expit(x.value),))
+    return node(np.logaddexp(0.0, x.value), (x,), lambda g: (g * expit(x.value),))
 
 
 def maximum(a, b) -> Var:
@@ -231,7 +241,7 @@ def maximum(a, b) -> Var:
             _unbroadcast(g * ~take_a, b.value.shape),
         )
 
-    return _make(np.maximum(a.value, b.value), (a, b), vjp)
+    return node(np.maximum(a.value, b.value), (a, b), vjp)
 
 
 def minimum(a, b) -> Var:
@@ -245,7 +255,7 @@ def minimum(a, b) -> Var:
             _unbroadcast(g * ~take_a, b.value.shape),
         )
 
-    return _make(np.minimum(a.value, b.value), (a, b), vjp)
+    return node(np.minimum(a.value, b.value), (a, b), vjp)
 
 
 def amax(x, axis: int) -> Var:
@@ -260,7 +270,7 @@ def amax(x, axis: int) -> Var:
         np.put_along_axis(buf, np.expand_dims(winners, axis), np.expand_dims(g, axis), axis)
         return (buf,)
 
-    return _make(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def vsum(x, axis=None, keepdims: bool = False) -> Var:
@@ -272,7 +282,7 @@ def vsum(x, axis=None, keepdims: bool = False) -> Var:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, x.value.shape).copy(),)
 
-    return _make(x.value.sum(axis=axis, keepdims=keepdims), (x,), vjp)
+    return node(x.value.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Var:
@@ -294,17 +304,17 @@ def concat(parts, axis: int) -> Var:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(np.concatenate([p.value for p in parts], axis=axis), parts, vjp)
+    return node(np.concatenate([p.value for p in parts], axis=axis), parts, vjp)
 
 
 def reshape(x, shape) -> Var:
     x = as_var(x)
-    return _make(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
+    return node(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
 
 
 def broadcast_to(x, shape) -> Var:
     x = as_var(x)
-    return _make(
+    return node(
         np.broadcast_to(x.value, shape),
         (x,),
         lambda g: (_unbroadcast(g, x.value.shape),),
@@ -330,7 +340,7 @@ def getitem(x, idx) -> Var:
             buf[idx] += g
         return (buf,)
 
-    return _make(x.value[idx], (x,), vjp)
+    return node(x.value[idx], (x,), vjp)
 
 
 def log_softmax(x, axis: int = -1) -> Var:
@@ -342,7 +352,7 @@ def log_softmax(x, axis: int = -1) -> Var:
         soft = np.exp(out)
         return (g - soft * g.sum(axis=axis, keepdims=True),)
 
-    return _make(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def backward(root: Var, seed: float = 1.0) -> None:

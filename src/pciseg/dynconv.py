@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Var
+
+OFFSET_DIMS = 3  # point position minus candidate position
+BOX_DIMS = 6  # |point box - candidate box|, corner by corner
 
 
 @dataclass(frozen=True)
@@ -65,27 +70,116 @@ class KernelLayout:
         return out
 
 
-def decoder_logits(inputs: Var, kernels: Var, layout: KernelLayout) -> Var:
-    """Apply per-candidate sliced layers to per-point features.
+def _sum_start(terms: int) -> float:
+    """Start value of a gradient sum over ``terms`` parts.
 
-    inputs: (K, N, c_0); kernels: (K, H'). ReLU between layers, none after
-    the last; returns raw logits of shape (K, N).
+    A batched numpy sum starts from +0.0, except that a single part passes
+    through unchanged; -0.0, the exact additive identity, keeps an exact
+    zero's sign as that pass-through does.
     """
-    k = inputs.shape[0]
-    if kernels.shape != (k, layout.param_count):
-        raise ValueError(
-            f"kernel block {kernels.shape} does not match layout ({k}, {layout.param_count})"
-        )
-    if inputs.shape[2] != layout.dims[0]:
-        raise ValueError(f"decoder input width {inputs.shape[2]} != layout c0 {layout.dims[0]}")
-    h = inputs
-    specs = layout.slices()
-    for layer, (w, b, (c_in, c_out)) in enumerate(specs):
-        weight = ad.reshape(kernels[:, w], (k, c_in, c_out))
-        h = ad.matmul(h, weight)
-        if b is not None:
-            h = ad.add(h, ad.reshape(kernels[:, b], (k, 1, c_out)))
-        if layer < len(specs) - 1:
-            h = ad.relu(h)
-    return ad.reshape(h, (k, inputs.shape[1]))
+    return -0.0 if terms == 1 else 0.0
 
+
+def decode_mask_logits(
+    fmask: Var,
+    positions: np.ndarray,
+    point_boxes: Var,
+    cand_positions: np.ndarray,
+    cand_boxes: Var,
+    kernels: Var,
+    layout: KernelLayout,
+    geo_cue: str,
+) -> Var:
+    """Raw mask logits (K, N) of K candidates over N points.
+
+    A point's decoder input for candidate k is its mask feature, its offset
+    ``positions - cand_positions[k]`` and its box difference
+    ``|point_boxes - cand_boxes[k]|``, zeroed under ``geo_cue`` "zero".
+
+    The forward decodes one candidate at a time: it fills the mask-feature
+    columns of one (N, c_0) buffer once, then for each candidate writes the
+    offset and box-difference columns in place and runs its sliced layers
+    (matmul, in-place bias and ReLU between layers, none after the last),
+    keeping only its row of logits. No (K, N, c_0) input is ever built.
+
+    The vjp recomputes each candidate's activations rather than keeping
+    them on the tape, and returns the gradients of ``fmask``,
+    ``point_boxes``, ``cand_boxes`` and ``kernels``; the sums over
+    candidates run in ascending k. ``positions`` and ``cand_positions`` are
+    constants. While a branch signature is captured, each candidate records
+    the signs of its box differences and every ReLU pattern, as
+    ``autodiff.absolute`` and ``autodiff.relu`` do.
+    """
+    k_count, n, mask_dim = cand_positions.shape[0], positions.shape[0], fmask.shape[1]
+    if kernels.shape != (k_count, layout.param_count):
+        raise ValueError(
+            f"kernel block {kernels.shape} does not match layout ({k_count}, {layout.param_count})"
+        )
+    if layout.dims[0] != mask_dim + OFFSET_DIMS + BOX_DIMS:
+        raise ValueError(
+            f"layout c0 {layout.dims[0]} != decoder input width {mask_dim + OFFSET_DIMS + BOX_DIMS}"
+        )
+    geo_on = geo_cue == "on"
+    geo_scale = 1.0 if geo_on else 0.0  # "zero" decodes 0.0 * |difference|
+    offset_cols = slice(mask_dim, mask_dim + OFFSET_DIMS)
+    geo_cols = slice(mask_dim + OFFSET_DIMS, layout.dims[0])
+    specs = layout.slices()
+    buf = np.zeros((n, layout.dims[0]))
+    buf[:, :mask_dim] = fmask.value
+
+    def fill(k: int) -> np.ndarray:
+        """Write candidate k's offset and box-difference columns into ``buf``;
+        returns its signed box difference."""
+        np.subtract(positions, cand_positions[k], out=buf[:, offset_cols])
+        diff = point_boxes.value - cand_boxes.value[k]
+        if geo_on:
+            np.abs(diff, out=buf[:, geo_cols])
+        return diff
+
+    def activations(k: int, record: bool) -> list[np.ndarray]:
+        """Candidate k's input to every layer (``buf`` first), then its logits."""
+        kernel = kernels.value[k]
+        acts = [buf]
+        for w, b, shape in specs:
+            h = acts[-1] @ kernel[w].reshape(shape)
+            if b is not None:  # every layer but the last: bias, then ReLU
+                h += kernel[b]
+                if record:
+                    ad.record(h > 0.0)
+                np.maximum(h, 0.0, out=h)
+            acts.append(h)
+        return acts
+
+    recording = ad.recording()
+    logits = np.empty((k_count, n))
+    for k in range(k_count):
+        diff = fill(k)
+        if recording:
+            ad.record(np.sign(diff))
+        logits[k] = activations(k, recording)[-1][:, 0]
+
+    def vjp(g):
+        g = np.ascontiguousarray(g)
+        g_fmask = np.full((n, mask_dim), _sum_start(k_count))
+        g_point_boxes = np.full((n, BOX_DIMS), _sum_start(k_count))
+        g_cand_boxes = np.zeros((k_count, BOX_DIMS))
+        g_kernels = np.zeros(kernels.shape)
+        for k in range(k_count):
+            diff = fill(k)
+            acts = activations(k, False)
+            kernel, g_kernel = kernels.value[k], g_kernels[k]
+            gh = g[k][:, None]
+            for layer in reversed(range(len(specs))):
+                w, b, shape = specs[layer]
+                if b is not None:  # a ReLU output is positive exactly where its input was
+                    gh = gh * (acts[layer + 1] > 0.0)
+                    g_kernel[b] += gh.sum(axis=0)
+                g_kernel[w] += (acts[layer].T @ gh).ravel()
+                gh = gh @ kernel[w].reshape(shape).T
+            g_fmask += gh[:, :mask_dim]
+            g_geo = gh[:, geo_cols] * geo_scale * np.sign(diff)
+            g_point_boxes += g_geo
+            g_cand_boxes[k] = (-g_geo).sum(axis=0, initial=_sum_start(n))
+        return g_fmask, g_point_boxes, g_cand_boxes, g_kernels
+
+    return ad.node(logits, (fmask, point_boxes, cand_boxes, kernels), vjp)

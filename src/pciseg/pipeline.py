@@ -35,7 +35,8 @@ from .core import (
     squared_distances,
     voxelize,
 )
-from .dynconv import KernelLayout, decoder_logits
+# infer and scene_loss decode through this module-level name, which bench/spans.py rebinds.
+from .dynconv import KernelLayout, decode_mask_logits as _decode_mask_logits
 from .evalmetrics import average_precision
 from .sampling import OccupancyState, SampleBudget, fps, ia_fps_infer
 from .scenegen import read_exact
@@ -86,7 +87,6 @@ class PipelineConfig:
     num_neighbors: int = 32
     voxel_size: float | None = None
     devoxelization: str = "late"  # "early" | "late"
-    decode_chunk: int = 96
     # training
     learning_rate: float = 5e-3
     grad_clip: float = 5.0
@@ -222,24 +222,27 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
     distances are recomputed with the same arithmetic as an exact scan
     and re-sorted. A row whose k-th distance is not clearly below its
     last candidate's may have a tie, or a rounding difference, across the
-    candidate boundary; only such rows are redone with an exact scan over
-    every point.
+    candidate boundary; only such rows are redone exactly, over every
+    point within the row's k-th candidate distance (plus the rounding
+    margin), which holds all k true nearest points.
     """
     positions = np.asarray(positions, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.float64)
     m = positions.shape[0]
     k = min(ENCODER_KNN, m)
     kq = min(ENCODER_KNN + KNN_SLACK, m)
-    _, cand = cKDTree(positions).query(positions, k=kq)
+    tree = cKDTree(positions)
+    _, cand = tree.query(positions, k=kq)
     cand = cand.reshape(m, kq)
     d2 = squared_distances(positions[:, None, :], positions[cand])
     order = np.lexsort((cand, d2), axis=-1)
     nn = np.take_along_axis(cand, order[:, :k], axis=1)
     d2 = np.take_along_axis(d2, order, axis=1)
     for i in np.flatnonzero(d2[:, k - 1] >= d2[:, -1] * (1.0 - ROUNDING_MARGIN)):
-        d2_i = squared_distances(positions[i], positions)
-        near = np.flatnonzero(d2_i <= np.partition(d2_i, k - 1)[k - 1])
-        nn[i] = near[np.argsort(d2_i[near], kind="stable")[:k]]
+        radius = np.sqrt(d2[i, k - 1]) * (1.0 + ROUNDING_MARGIN)
+        near = np.array(tree.query_ball_point(positions[i], radius))
+        d2_i = squared_distances(positions[i], positions[near])
+        nn[i] = near[np.lexsort((near, d2_i))[:k]]
     npos = positions[nn]
     ncol = colors[nn]
     return np.concatenate(
@@ -339,35 +342,6 @@ def _candidate_encoder(
     return encode
 
 
-def _decode_mask_logits(
-    fmask: Var,
-    positions: np.ndarray,
-    point_boxes: Var,
-    cand_positions: np.ndarray,
-    cand_boxes: Var,
-    kernels: Var,
-    layout: KernelLayout,
-    geo_cue: str,
-) -> Var:
-    """Raw decoder logits (K, M) for a batch of candidates.
-
-    Each point's decoder input is its mask feature, its offset from the
-    candidate, and the box difference |point box - candidate box|, zeroed
-    under ``geo_cue`` "zero". Gradients reach the mask features and both
-    boxes of the difference.
-    """
-    k = cand_positions.shape[0]
-    m = positions.shape[0]
-    f_pos = positions[None, :, :] - cand_positions[:, None, :]
-    parts = [ad.broadcast_to(ad.reshape(fmask, (1, m, fmask.shape[1])), (k, m, fmask.shape[1]))]
-    parts.append(Var(f_pos))
-    geo = ad.absolute(ad.sub(ad.reshape(point_boxes, (1, m, 6)), ad.reshape(cand_boxes, (k, 1, 6))))
-    if geo_cue == "zero":
-        geo = ad.mul(geo, 0.0)
-    parts.append(geo)
-    return decoder_logits(ad.concat(parts, axis=2), kernels, layout)
-
-
 def nms(masks: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int]:
     """Greedy mask suppression by descending score, ties to lower index.
 
@@ -464,23 +438,20 @@ def infer(
         nonlocal decode_s
         cls_logits, boxes, kernels, quality = encode(local_idx)
         centers = stage1[local_idx]
-        masks = np.empty((centers.size, scene.num_points))
-        chunks.append((cls_logits.value, boxes.value, quality.value, masks))
         t = time.perf_counter()
-        for start in range(0, centers.size, config.decode_chunk):
-            sel = slice(start, min(start + config.decode_chunk, centers.size))
-            logits = _decode_mask_logits(
-                fmask,
-                positions,
-                point_boxes,
-                positions[centers[sel]],
-                point_boxes[centers[sel]],
-                kernels[sel],
-                layout,
-                config.geo_cue,
-            )
-            masks[sel] = expit(logits.value)
+        logits = _decode_mask_logits(
+            fmask,
+            positions,
+            point_boxes,
+            positions[centers],
+            point_boxes[centers],
+            kernels,
+            layout,
+            config.geo_cue,
+        )
+        masks = expit(logits.value)
         decode_s += time.perf_counter() - t
+        chunks.append((cls_logits.value, boxes.value, quality.value, masks))
         return masks[:, stage1]
 
     sub_state = OccupancyState(background[stage1], threshold=config.tau)

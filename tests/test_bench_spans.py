@@ -89,3 +89,17 @@ def test_every_layer_span_fires():
     assert fired(tracer) == TRAIN_SPANS
     assert tracer.counts["dynconv.decoder_pairs"] > 0
     assert pipeline.infer.__module__ == "pciseg.pipeline"  # the wrappers are gone again
+
+
+def test_iafps_chunks_counted_once_each():
+    # Each IA-FPS chunk is decoded in one call, so the tracer's count of
+    # fed-back decodes plus the last chunk is exact for any chunk sizes.
+    Tracer = tracer_class()
+    scene = generate(GenConfig(num_scenes=1, points_per_scene=256, seed=3))[0]
+    config = tiny_config(stage1_budget=12, chunk_sizes=(4, 3, 2))
+    model = pipeline.ModelParams.initialize(config, 0)
+    tracer = Tracer(config)
+    with tracer:
+        pipeline.infer(scene, model, config)
+    assert tracer.counts["sampling.candidates"] == 4 + 3 + 2
+    assert tracer.counts["sampling.iafps_chunks"] == 3

@@ -127,6 +127,7 @@ REMOVED_KEYS = [
     ("train", "rms_eps", 1e-8),
     ("train", "pointwise_box_weight", 1.0),
     ("train", "loss_weights", {"gamma_mask": 5.0}),
+    ("train", "decode_chunk", 96),
     ("generate", "noise_sigma", 0.01),
     ("generate", "superpoint_voxel", 0.1),
 ]
@@ -134,7 +135,7 @@ REMOVED_KEYS = [
 
 @pytest.mark.parametrize("command, key, value", REMOVED_KEYS, ids=[f"{c}-{k}" for c, k, _ in REMOVED_KEYS])
 def test_removed_config_key_rejected(tmp_path, command, key, value):
-    # Constants of the method, no longer settings: an old config naming one fails loudly.
+    # Constants of the method or deleted knobs, no longer settings: an old config naming one fails loudly.
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: value}))
     args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]

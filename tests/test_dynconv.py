@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from pciseg import autodiff as ad
 from pciseg.autodiff import Var
-from pciseg.dynconv import KernelLayout, decoder_logits
-from pciseg.pipeline import _decode_mask_logits
+from pciseg.dynconv import KernelLayout, decode_mask_logits
+from pciseg.supervision import fd_gradient_check
 
 # Published parameter counts for the decoder layer ablation; the flat-kernel
 # slicing must reproduce them exactly (bias on every layer except the last).
@@ -58,7 +61,7 @@ class TestLayout:
     def test_kernel_length_checked(self):
         layout = KernelLayout((41, 1))
         with pytest.raises(ValueError):
-            decoder_logits(Var(np.zeros((1, 2, 41))), Var(np.zeros((1, 40))), layout)
+            soft_mask(np.zeros((2, 41)), np.zeros(40), layout)
 
 
 def read_channels(positions, point_boxes, cand_position, cand_box, mask_dim=1):
@@ -70,7 +73,7 @@ def read_channels(positions, point_boxes, cand_position, cand_box, mask_dim=1):
     the box difference.
     """
     n, width = positions.shape[0], mask_dim + 9
-    logits = _decode_mask_logits(
+    logits = decode_mask_logits(
         Var(np.zeros((n, mask_dim))),
         np.asarray(positions, dtype=float),
         Var(np.asarray(point_boxes, dtype=float)),
@@ -131,8 +134,18 @@ class TestRelPos:
 
 
 def soft_mask(inputs, kernel, layout):
-    """One candidate's soft mask from its (N, c_0) decoder inputs."""
-    return expit(decoder_logits(Var(inputs[None]), Var(kernel[None]), layout).value[0])
+    """One candidate's soft mask from (N, c_0) decoder inputs.
+
+    The columns enter as mask features, positions and point boxes, against
+    a candidate at the origin with an all-zero box, so the decoder reads
+    them unchanged except that the box-difference channels read |inputs|.
+    """
+    h = inputs.shape[1] - 9
+    logits = decode_mask_logits(
+        Var(inputs[:, :h]), inputs[:, h : h + 3], Var(inputs[:, h + 3 :]), np.zeros((1, 3)),
+        Var(np.zeros((1, 6))), Var(kernel[None]), layout, "on",
+    )
+    return expit(logits.value[0])
 
 
 def single_layer_inputs(geo_values):
@@ -157,7 +170,7 @@ class TestForward:
         kernel[35] = 1.0  # geo channel 0 sits after 32 mask + 3 position dims
         point_boxes = np.zeros((2, 6))
         point_boxes[:, 0] = [0.0, np.log(3.0)]
-        logits = _decode_mask_logits(
+        logits = decode_mask_logits(
             Var(np.zeros((2, 32))), np.zeros((2, 3)), Var(point_boxes), np.zeros((1, 3)),
             Var(np.zeros((1, 6))), Var(kernel[None]), layout, "on",
         )
@@ -182,10 +195,11 @@ class TestForward:
         kernel = rng.normal(size=layout.param_count)
         x = rng.normal(size=(6, 41))
         out = soft_mask(x, kernel, layout)
+        seen = np.concatenate([x[:, :35], np.abs(x[:, 35:])], axis=1)  # box channels read |x|
         w0 = kernel[: 41 * 16].reshape(41, 16)
         b0 = kernel[41 * 16 : 41 * 16 + 16]
         w1 = kernel[41 * 16 + 16 :].reshape(16, 1)
-        expected = expit(np.maximum(x @ w0 + b0, 0.0) @ w1).ravel()
+        expected = expit(np.maximum(seen @ w0 + b0, 0.0) @ w1).ravel()
         assert np.allclose(out, expected)
 
     def test_kernel_length_mismatch(self):
@@ -216,10 +230,147 @@ class TestForward:
         point_boxes[:2, 3] = 1.0  # first two points predict one box
         point_boxes[2:, 3] = 3.0  # last two predict another
         cand_boxes = np.array([[0.0, 0, 0, 1.0, 0, 0], [0.0, 0, 0, 3.0, 0, 0]])
-        logits = _decode_mask_logits(
+        logits = decode_mask_logits(
             Var(np.zeros((n, 32))), np.zeros((n, 3)), Var(point_boxes), np.zeros((2, 3)),
             Var(cand_boxes), Var(np.tile(kernel, (2, 1))), layout, "on",
         )
         out_a, out_b = expit(logits.value)
         assert np.all((out_a > 0.5) == [True, True, False, False])
         assert np.all((out_b > 0.5) == [False, False, True, True])
+
+
+def batched_oracle(fmask, positions, point_boxes, cand_positions, cand_boxes, kernels, layout, geo_cue):
+    """The reference decoder: all K candidates' (K, N, c_0) inputs at once.
+
+    It concatenates broadcast mask features, offsets and box differences,
+    then runs each layer as one batched matmul on the tape's generic ops.
+    """
+    k, n, h = cand_positions.shape[0], positions.shape[0], fmask.shape[1]
+    geo = ad.absolute(ad.sub(ad.reshape(point_boxes, (1, n, 6)), ad.reshape(cand_boxes, (k, 1, 6))))
+    if geo_cue == "zero":
+        geo = ad.mul(geo, 0.0)
+    x = ad.concat(
+        [
+            ad.broadcast_to(ad.reshape(fmask, (1, n, h)), (k, n, h)),
+            Var(positions[None, :, :] - cand_positions[:, None, :]),
+            geo,
+        ],
+        axis=2,
+    )
+    specs = layout.slices()
+    for layer, (w, b, (c_in, c_out)) in enumerate(specs):
+        x = ad.matmul(x, ad.reshape(kernels[:, w], (k, c_in, c_out)))
+        if b is not None:
+            x = ad.add(x, ad.reshape(kernels[:, b], (k, 1, c_out)))
+        if layer < len(specs) - 1:
+            x = ad.relu(x)
+    return ad.reshape(x, (k, n))
+
+
+def decoder_case(k, n, dims, seed=0):
+    """Random differentiable inputs (fmask, point boxes, candidate boxes,
+    kernels) and constant positions for K candidates over N points."""
+    rng = np.random.default_rng(seed)
+    layout = KernelLayout(dims)
+    leaves = {
+        "fmask": rng.normal(size=(n, dims[0] - 9)),
+        "point_boxes": rng.normal(size=(n, 6)),
+        "cand_boxes": rng.normal(size=(k, 6)),
+        "kernels": rng.normal(size=(k, layout.param_count)),
+    }
+    return leaves, rng.normal(size=(n, 3)), rng.normal(size=(k, 3)), layout
+
+
+def decode(decoder, p, positions, cand_positions, layout, geo_cue):
+    return decoder(
+        p["fmask"], positions, p["point_boxes"], cand_positions, p["cand_boxes"], p["kernels"], layout, geo_cue
+    )
+
+
+class TestFusedDecoder:
+    """``decode_mask_logits`` decodes one candidate at a time and recomputes
+    its activations in the vjp; it must equal the batched oracle bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("geo_cue", ["on", "zero"])
+    @pytest.mark.parametrize("dims", [(13, 1), (13, 8, 1), (13, 4, 4, 1)])
+    def test_bit_identical_to_batched_oracle(self, dims, geo_cue, k, n):
+        values, positions, cand_positions, layout = decoder_case(k, n, dims)
+        upstream = np.random.default_rng(1).normal(size=(k, n))
+        results = []
+        for decoder in (batched_oracle, decode_mask_logits):
+            p = {name: ad.parameter(v) for name, v in values.items()}
+            logits = decode(decoder, p, positions, cand_positions, layout, geo_cue)
+            ad.backward(ad.vsum(ad.mul(logits, upstream)))
+            results.append([logits.value] + [p[name].grad for name in values])
+        for name, want, got in zip(["logits", *values], *results):
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("geo_cue", ["on", "zero"])
+    def test_finite_difference_gradients(self, geo_cue):
+        values, positions, cand_positions, layout = decoder_case(3, 7, (13, 4, 1), seed=2)
+        weights = np.random.default_rng(3).normal(size=(3, 7))
+
+        def loss(p):
+            logits = decode(decode_mask_logits, p, positions, cand_positions, layout, geo_cue)
+            return ad.vsum(ad.mul(ad.sigmoid(logits), weights))
+
+        assert fd_gradient_check(loss, values, epsilon=1e-5, skip_nonsmooth=True) <= 1e-5
+
+    def test_signature_records_relu_and_box_sign_changes(self):
+        # One hidden unit reads mask channel 0 (pre-activation = fmask[:, 0]);
+        # no weight reads the box channels, so a box sign flip alone changes
+        # nothing but the recorded signs.
+        layout = KernelLayout((13, 1, 1))
+        kernel = np.zeros(layout.param_count)
+        (w0, _, _), (w1, _, _) = layout.slices()
+        kernel[w0.start] = 1.0
+        kernel[w1] = 1.0
+        fmask = np.array([[0.5, 0, 0, 0], [-0.3, 0, 0, 0]])
+        point_boxes = np.full((2, 6), 0.2)
+
+        def digest(fmask, point_boxes):
+            p = {
+                "fmask": Var(fmask),
+                "point_boxes": Var(point_boxes),
+                "cand_boxes": Var(np.zeros((1, 6))),
+                "kernels": Var(kernel[None]),
+            }
+            positions, cand_positions = np.zeros((2, 3)), np.zeros((1, 3))
+            return ad.capture_signature(
+                lambda: decode(decode_mask_logits, p, positions, cand_positions, layout, "on")
+            )[1]
+
+        base = digest(fmask, point_boxes)
+        nudged = fmask.copy()
+        nudged[0, 0] = 0.6
+        assert digest(nudged, point_boxes) == base
+        crossed = fmask.copy()
+        crossed[0, 0] = -0.5
+        assert digest(crossed, point_boxes) != base
+        flipped = point_boxes.copy()
+        flipped[1, 3] = -0.2
+        assert digest(fmask, flipped) != base
+
+    def test_memory_stays_per_candidate(self):
+        """96 candidates over 4096 points decode within 16 MB of new allocations.
+
+        The batched decoder built the (96, 4096, 41) float64 input, 129 MB,
+        then (96, 4096, 32) hidden and temporary arrays of 100 MB each. The
+        fused op holds the (96, 4096) logits (3.1 MB), one (4096, 41) input
+        buffer (1.3 MB) and one candidate's hidden arrays (about 1 MB each).
+        16 MB is an eighth of the old input alone, with room for those.
+        """
+        k, n = 96, 4096
+        values, positions, cand_positions, layout = decoder_case(k, n, (41, 32, 1))
+        p = {name: Var(v) for name, v in values.items()}
+        tracemalloc.start()
+        try:
+            logits = decode(decode_mask_logits, p, positions, cand_positions, layout, "on")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (k, n)
+        assert peak < 16e6, f"decoding peaked at {peak / 1e6:.1f} MB"

@@ -26,7 +26,8 @@ def dense_d2(centers, positions):
 
 def oracle_encoder_inputs(positions, colors):
     m = positions.shape[0]
-    d2 = dense_d2(positions, positions)
+    # Blocks of 256 rows keep the dense scan's difference array near 25 MB at 4096 points.
+    d2 = np.concatenate([dense_d2(positions[i : i + 256], positions) for i in range(0, m, 256)])
     nn = np.stack([np.lexsort((np.arange(m), row))[: min(ENCODER_KNN, m)] for row in d2])
     npos, ncol = positions[nn], colors[nn]
     return np.concatenate(
@@ -54,15 +55,20 @@ def eighths(rng, n, cells):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Counts the single-row exact scans of ``encoder_inputs``'s tie fallback."""
-    calls = []
+    """Counts the single-row exact redos of ``encoder_inputs``'s tie fallback.
+
+    ``scans()`` counts the fallback rows; ``scans(full=n)`` counts those
+    that computed distances to all ``n`` points.
+    """
+    widths = []
 
     def spy(a, b):
-        calls.append(np.ndim(a))
+        if np.ndim(a) == 1:
+            widths.append(len(b))
         return squared_distances(a, b)
 
     monkeypatch.setattr(pipeline, "squared_distances", spy)
-    return lambda: calls.count(1)
+    return lambda full=None: sum(1 for w in widths if full is None or w >= full)
 
 
 def assert_same_rows(positions, colors=None):
@@ -75,6 +81,7 @@ class TestEncoderNeighbors:
     def test_continuous_points_need_no_fallback(self, scans):
         assert_same_rows(np.random.default_rng(0).random((600, 3)))
         assert scans() == 0
+        assert scans(full=600) == 0
 
     def test_duplicated_coordinates(self, scans):
         base = np.random.default_rng(2).random((40, 3))
@@ -83,6 +90,7 @@ class TestEncoderNeighbors:
         # With 12 copies of each point, the 16th and the 24th (last) tree
         # candidates are copies of the same second-nearest point.
         assert scans() > 0
+        assert scans(full=480) == 0
 
     def test_grid_ties_cross_the_kth_position(self, scans):
         positions = eighths(np.random.default_rng(4), 900, 8)
@@ -91,6 +99,16 @@ class TestEncoderNeighbors:
         assert np.any(d2[:, k - 1] == d2[:, k]), "no tie crosses the k-th position"
         assert_same_rows(positions)
         assert scans() > 0
+        assert scans(full=900) == 0
+
+    def test_coarse_grid_fallback_stays_local(self, scans):
+        # 4096 points on a 0.1 grid in a 1 m cube: about three points per
+        # grid node, so most rows tie across the 16th neighbour. Each
+        # fallback row computes distances only within its k-th distance.
+        positions = np.round(np.random.default_rng(9).random((4096, 3)), 1)
+        assert_same_rows(positions)
+        assert scans() > 1000
+        assert scans(full=4096) == 0
 
     @pytest.mark.parametrize("m", [1, 2, 5, 15, 16, 17, 24, 25])
     def test_few_points(self, m):

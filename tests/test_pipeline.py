@@ -37,7 +37,6 @@ def tiny_config(**kwargs):
         chunk_sizes=(6, 4),
         k_train=8,
         num_neighbors=8,
-        decode_chunk=16,
     )
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
@@ -110,7 +109,7 @@ class TestConfig:
             PipelineConfig(**{name: self.CONSTANTS[name]})
 
     def test_settable_field_counts(self):
-        assert len(dataclasses.fields(PipelineConfig)) == 18
+        assert len(dataclasses.fields(PipelineConfig)) == 17
         assert len(dataclasses.fields(GenConfig)) == 9
 
 
@@ -275,12 +274,12 @@ class TestInfer:
         assert all(v >= 0.0 for v in timings.values())
 
     def test_each_candidate_aggregated_and_decoded_once(self, two_cluster_scene, monkeypatch):
-        # Three IA-FPS chunks, the last one never fed back, and decode
-        # slices smaller than a chunk.
-        config = tiny_config(stage1_budget=12, chunk_sizes=(4, 3, 2), decode_chunk=3)
+        # Three IA-FPS chunks, the last one never fed back; each chunk is
+        # decoded in one call.
+        config = tiny_config(stage1_budget=12, chunk_sizes=(4, 3, 2))
         model = ModelParams.initialize(config, 1)
         aggregate, decode, sample = pipeline.aggregate_batch, pipeline._decode_mask_logits, pipeline.ia_fps_infer
-        block2_rows, decoded_rows, decoded_widths, candidates = [], [], set(), []
+        block2_rows, decoded_rows, decoded_widths, candidates, decode_calls = [], [], set(), [], []
 
         def counting_aggregate(block, features, positions, centers, neighbors):
             if block.radius == config.radii[1]:
@@ -289,6 +288,7 @@ class TestInfer:
 
         def counting_decode(fmask, positions, point_boxes, cand_positions, *rest):
             decoded_rows.extend(map(tuple, cand_positions))
+            decode_calls.append(cand_positions.shape[0])
             decoded_widths.add(positions.shape[0])
             return decode(fmask, positions, point_boxes, cand_positions, *rest)
 
@@ -305,6 +305,7 @@ class TestInfer:
         assert sorted(block2_rows) == sorted(candidates)
         assert len(decoded_rows) == len(candidates) == len(set(candidates))
         assert decoded_widths == {two_cluster_scene.num_points}
+        assert decode_calls == [4, 3, len(candidates) - 7]
 
     def test_early_late_full_pipeline_identical(self, two_cluster_scene):
         model = ModelParams.initialize(tiny_config(), 5)

@@ -7,7 +7,7 @@ from scipy.special import expit, logit
 from pciseg import autodiff as ad
 from pciseg.autodiff import Var
 from pciseg.core import aabb_giou, Aabb, dice_loss, mask_iou, binarize
-from pciseg.dynconv import KernelLayout, decoder_logits
+from pciseg.dynconv import KernelLayout, decode_mask_logits
 from pciseg.supervision import (
     LOG_EPS,
     Assignment,
@@ -342,10 +342,13 @@ class TestGradientChecks:
         f_mask = rng.normal(size=(n, h))
 
         def loss(p):
-            inputs = ad.concat(
-                [ad.reshape(p["fm"], (1, n, h)), Var(f_pos), Var(f_geo_base)], axis=2
+            # A candidate at the origin with an all-zero box: the decoder reads
+            # the offsets as f_pos and the (non-negative) box differences as f_geo_base.
+            mask_logits = decode_mask_logits(
+                p["fm"], f_pos[0], Var(f_geo_base[0]), np.zeros((1, 3)), Var(np.zeros((1, 6))),
+                ad.reshape(p["w"], (1, -1)), layout, "on",
             )
-            logits = ad.reshape(decoder_logits(inputs, ad.reshape(p["w"], (1, -1)), layout), (n,))
+            logits = ad.reshape(mask_logits, (n,))
             return dice_term(ad.sigmoid(logits), gt.astype(float)) + bce_with_logits(logits, gt.astype(float))
 
         params = {"w": rng.normal(size=layout.param_count) * 0.5, "fm": f_mask}
