@@ -13,10 +13,7 @@ from .core import (
     Scene,
     VoxelMap,
     aabb_from_mask,
-    aabb_giou,
-    aabb_iou,
     binarize,
-    dice_loss,
     mask_iou,
     voxelize,
 )
@@ -27,10 +24,7 @@ __all__ = [
     "Scene",
     "VoxelMap",
     "aabb_from_mask",
-    "aabb_giou",
-    "aabb_iou",
     "binarize",
-    "dice_loss",
     "mask_iou",
     "voxelize",
 ]

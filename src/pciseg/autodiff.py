@@ -312,15 +312,6 @@ def reshape(x, shape) -> Var:
     return node(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
 
 
-def broadcast_to(x, shape) -> Var:
-    x = as_var(x)
-    return node(
-        np.broadcast_to(x.value, shape),
-        (x,),
-        lambda g: (_unbroadcast(g, x.value.shape),),
-    )
-
-
 def _is_advanced(idx) -> bool:
     if isinstance(idx, np.ndarray):
         return True

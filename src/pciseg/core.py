@@ -160,31 +160,12 @@ def aabb_from_mask(scene: Scene, mask: np.ndarray) -> Aabb:
     return aabb_from_points(scene.positions[mask])
 
 
-def _intersection_union(a: Aabb, b: Aabb) -> tuple[float, float]:
-    inter_extent = np.minimum(a.max_corner, b.max_corner) - np.maximum(a.min_corner, b.min_corner)
-    inter = float(np.prod(np.maximum(inter_extent, 0.0)))
-    union = a.volume + b.volume - inter
-    return inter, union
-
-
-def aabb_iou(a: Aabb, b: Aabb) -> float:
-    """Volume intersection-over-union of two boxes.
-
-    When both boxes are degenerate (union volume 0) the IoU is 1 for
-    identical boxes and 0 otherwise.
-    """
-    inter, union = _intersection_union(a, b)
-    if union <= 0.0:
-        return 1.0 if a == b else 0.0
-    return inter / union
-
-
 def aabb_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (P, G) :func:`aabb_iou` of (P, 6) and (G, 6) box vectors.
+    """The (P, G) volume intersection-over-union of (P, 6) and (G, 6) boxes.
 
     Rows are :meth:`Aabb.to_vector` layouts, min corner then max corner.
-    Every entry equals the pairwise value bit for bit, degenerate rule
-    included: a zero union gives 1 for identical boxes and 0 otherwise.
+    When a union has zero volume (both boxes degenerate), the IoU is 1 for
+    identical boxes and 0 otherwise.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 6)
     b = np.asarray(b, dtype=np.float64).reshape(1, -1, 6)
@@ -193,23 +174,6 @@ def aabb_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = np.prod(a[..., 3:] - a[..., :3], axis=-1) + np.prod(b[..., 3:] - b[..., :3], axis=-1) - inter
     identical = np.all(a == b, axis=-1).astype(np.float64)
     return np.divide(inter, union, out=identical, where=union > 0.0)
-
-
-def aabb_giou(a: Aabb, b: Aabb) -> float:
-    """Generalized IoU: IoU minus the hull fraction not covered by the union.
-
-    Ranges over (-1, 1]; symmetric; equals the plain IoU when one box
-    contains the other. Identical boxes score exactly 1, including the
-    degenerate zero-volume case. A zero-volume hull makes the correction
-    term vanish.
-    """
-    inter, union = _intersection_union(a, b)
-    hull_extent = np.maximum(a.max_corner, b.max_corner) - np.minimum(a.min_corner, b.min_corner)
-    hull = float(np.prod(hull_extent))
-    iou = aabb_iou(a, b)
-    if hull <= 0.0:
-        return iou
-    return iou - (hull - union) / hull
 
 
 # Relative slack between a k-d tree's distances and squared_distances:
@@ -245,18 +209,6 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     union = a2.sum(axis=1)[:, None] + b2.sum(axis=1)[None, :] - inter
     iou = np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
     return float(iou[0, 0]) if a.ndim == 1 else iou
-
-
-def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Soft dice loss 1 - 2|p.g| / (|p| + |g|); 0 when both masks are empty."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 1:
-        raise ValueError("masks must be 1-D and of equal length")
-    denom = pred.sum() + gt.sum()
-    if denom == 0.0:
-        return 0.0
-    return float(1.0 - 2.0 * np.dot(pred, gt) / denom)
 
 
 @dataclass(frozen=True)

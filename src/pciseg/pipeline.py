@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import expit, softmax
 
-from . import autodiff as ad
+from . import autodiff as ad, dynconv
 from .aggregator import AggregatorBlock, aggregate_batch, ball_query, box_from_raw, heads
 from .autodiff import Var
 from .core import (
@@ -192,9 +192,6 @@ class ModelParams:
             return {name: ad.parameter(value) for name, value in self.params.items()}
         return {name: Var(value) for name, value in self.params.items()}
 
-    def num_parameters(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def check_finite(self) -> None:
         for name, value in self.params.items():
             if not np.all(np.isfinite(value)):
@@ -220,11 +217,12 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
     coordinates always receive identical rows. A k-d tree proposes
     ``ENCODER_KNN + KNN_SLACK`` candidates per point, whose squared
     distances are recomputed with the same arithmetic as an exact scan
-    and re-sorted. A row whose k-th distance is not clearly below its
-    last candidate's may have a tie, or a rounding difference, across the
-    candidate boundary; only such rows are redone exactly, over every
-    point within the row's k-th candidate distance (plus the rounding
-    margin), which holds all k true nearest points.
+    and re-sorted; its queries split over ``dynconv.share_count`` threads,
+    and no row's answer depends on the split. A row whose k-th distance is not
+    clearly below its last candidate's may have a tie, or a rounding
+    difference, across the candidate boundary; only such rows are redone
+    exactly, over every point within the row's k-th candidate distance
+    (plus the rounding margin), which holds all k true nearest points.
     """
     positions = np.asarray(positions, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.float64)
@@ -232,7 +230,7 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
     k = min(ENCODER_KNN, m)
     kq = min(ENCODER_KNN + KNN_SLACK, m)
     tree = cKDTree(positions)
-    _, cand = tree.query(positions, k=kq)
+    _, cand = tree.query(positions, k=kq, workers=dynconv.share_count(m * kq))
     cand = cand.reshape(m, kq)
     d2 = squared_distances(positions[:, None, :], positions[cand])
     order = np.lexsort((cand, d2), axis=-1)
@@ -243,16 +241,18 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
         near = np.array(tree.query_ball_point(positions[i], radius))
         d2_i = squared_distances(positions[i], positions[near])
         nn[i] = near[np.lexsort((near, d2_i))[:k]]
-    npos = positions[nn]
-    ncol = colors[nn]
+    # Neighbour-major (k, N, 3) gathers: the statistics reduce over whole
+    # (N, 3) slices, with the same additions in the same order per row.
+    npos = positions[nn.T]
+    ncol = colors[nn.T]
     return np.concatenate(
         [
             positions,
             colors,
-            npos.mean(axis=1),
-            npos.std(axis=1),
-            ncol.mean(axis=1),
-            ncol.std(axis=1),
+            npos.mean(axis=0),
+            npos.std(axis=0),
+            ncol.mean(axis=0),
+            ncol.std(axis=0),
         ],
         axis=1,
     )

@@ -91,38 +91,44 @@ class _MaxMinSampler:
         self.taken = np.zeros(n, dtype=bool)
         self.order: list[int] = []
 
-    def _take(self, index: int) -> None:
+    def _take(self, index: int) -> np.ndarray:
+        """Select ``index``; returns every point's squared distance to it."""
         self.taken[index] = True
         self.order.append(index)
         delta = self.positions - self.positions[index]
         d2 = np.einsum("ij,ij->i", delta, delta)
         np.minimum(self.min_d2, d2, out=self.min_d2)
+        return d2
 
     def seed(self, allowed: np.ndarray, index: int | None = None) -> None:
-        if index is not None:
-            if not allowed[index]:
-                raise ValueError("seed index is filtered out")
-            self._take(index)
-            return
-        idx = np.flatnonzero(allowed)
-        centroid = self.positions[idx].mean(axis=0)
-        delta = self.positions[idx] - centroid
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        self._take(int(idx[np.argmin(d2)]))
+        if index is None:
+            idx = np.flatnonzero(allowed)
+            centroid = self.positions[idx].mean(axis=0)
+            delta = self.positions[idx] - centroid
+            d2 = np.einsum("ij,ij->i", delta, delta)
+            index = int(idx[np.argmin(d2)])
+        self._take(index)
 
     def extend(self, allowed: np.ndarray, count: int) -> list[int]:
+        """Up to ``count`` picks among allowed points not yet taken."""
+        eligible = allowed & ~self.taken
+        if count < 1 or not eligible.any():
+            return []
         picks: list[int] = []
-        for _ in range(count):
-            eligible = allowed & ~self.taken
-            if not eligible.any():
-                break
-            if not self.order:
-                self.seed(eligible)
-                picks.append(self.order[-1])
-                continue
-            scores = np.where(eligible, self.min_d2, -np.inf)
+        if not self.order:
+            self.seed(eligible)
+            picks.append(self.order[-1])
+            eligible[self.order[-1]] = False
+        # One score array per call: an eligible point holds its minimum
+        # distance, lowered in place by each pick; any other holds -inf.
+        scores = np.where(eligible, self.min_d2, -np.inf)
+        while len(picks) < count:
             chosen = int(np.argmax(scores))
-            self._take(chosen)
+            if scores[chosen] == -np.inf:
+                break
+            d2 = self._take(chosen)
+            scores[chosen] = -np.inf
+            np.minimum(scores, d2, out=scores)
             picks.append(chosen)
         return picks
 
@@ -138,24 +144,34 @@ def fps(
     Returns indices in selection order; the output for budget b is a prefix
     of the output for budget b+1 on identical inputs. Without an explicit
     seed the eligible point nearest the eligible centroid starts the chain.
+    Only the filtered points are sampled and scored; they keep their
+    ascending order, so ties still go to the lowest original index.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     if candidate_filter is None:
-        allowed = np.ones(n, dtype=bool)
+        idx = np.arange(n)
     else:
         allowed = np.asarray(candidate_filter).astype(bool)
         if allowed.shape != (n,):
             raise ValueError("candidate filter length mismatch")
-    n_allowed = int(allowed.sum())
+        idx = np.flatnonzero(allowed)
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if budget > n_allowed:
+    if budget > idx.size:
         raise ValueError("budget too large")
-    sampler = _MaxMinSampler(positions)
-    sampler.seed(allowed, seed_index)
-    sampler.extend(allowed, budget - 1)
-    return np.asarray(sampler.order, dtype=np.int64)
+    local_seed = None
+    if seed_index is not None:
+        if not 0 <= seed_index < n:
+            raise ValueError("seed index out of range")
+        local_seed = int(np.searchsorted(idx, seed_index))
+        if local_seed == idx.size or idx[local_seed] != seed_index:
+            raise ValueError("seed index is filtered out")
+    sampler = _MaxMinSampler(positions[idx])
+    everywhere = np.ones(idx.size, dtype=bool)
+    sampler.seed(everywhere, local_seed)
+    sampler.extend(everywhere, budget - 1)
+    return idx[np.asarray(sampler.order, dtype=np.int64)]
 
 
 def ia_fps_infer(

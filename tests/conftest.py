@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from pciseg.core import Scene
+from pciseg.core import Aabb, Scene
 
 
 def toy_scene(positions, semantic, instance, num_classes=5, colors=None, superpoints=None):
@@ -19,6 +19,57 @@ def toy_scene(positions, semantic, instance, num_classes=5, colors=None, superpo
         num_classes=num_classes,
         superpoints=superpoints,
     )
+
+
+# Scalar oracles, one pair or one mask at a time. The running code computes
+# these quantities batched: core.aabb_iou_matrix, supervision.box_giou and
+# supervision.dice_term; their tests compare against the functions below.
+
+
+def _intersection_union(a: Aabb, b: Aabb) -> tuple[float, float]:
+    inter_extent = np.minimum(a.max_corner, b.max_corner) - np.maximum(a.min_corner, b.min_corner)
+    inter = float(np.prod(np.maximum(inter_extent, 0.0)))
+    union = a.volume + b.volume - inter
+    return inter, union
+
+
+def aabb_iou(a: Aabb, b: Aabb) -> float:
+    """Volume intersection-over-union of two boxes.
+
+    When both boxes are degenerate (union volume 0) the IoU is 1 for
+    identical boxes and 0 otherwise.
+    """
+    inter, union = _intersection_union(a, b)
+    if union <= 0.0:
+        return 1.0 if a == b else 0.0
+    return inter / union
+
+
+def aabb_giou(a: Aabb, b: Aabb) -> float:
+    """Generalized IoU: IoU minus the hull fraction not covered by the union.
+
+    Ranges over (-1, 1]; symmetric; equals the plain IoU when one box
+    contains the other. Identical boxes score exactly 1, including the
+    degenerate zero-volume case. A zero-volume hull makes the correction
+    term vanish.
+    """
+    inter, union = _intersection_union(a, b)
+    hull_extent = np.maximum(a.max_corner, b.max_corner) - np.minimum(a.min_corner, b.min_corner)
+    hull = float(np.prod(hull_extent))
+    iou = aabb_iou(a, b)
+    if hull <= 0.0:
+        return iou
+    return iou - (hull - union) / hull
+
+
+def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Soft dice loss 1 - 2|p.g| / (|p| + |g|) of two 1-D masks; 0 when both are empty."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    denom = pred.sum() + gt.sum()
+    if denom == 0.0:
+        return 0.0
+    return float(1.0 - 2.0 * np.dot(pred, gt) / denom)
 
 
 def read_from_fifo(read, data, fifo):

@@ -78,7 +78,7 @@ def test_concat_broadcast_getitem():
     def loss(p):
         joined = ad.concat([p["a"], p["b"]], axis=1)
         routed = joined[idx]
-        wide = ad.broadcast_to(ad.reshape(p["a"], (1, 4, 2)), (3, 4, 2))
+        wide = ad.reshape(p["a"], (1, 4, 2)) + np.zeros((3, 4, 2))  # broadcast by add
         return ad.vsum(routed) + ad.vsum(wide * 0.5)
 
     check(loss, params)

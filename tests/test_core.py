@@ -8,17 +8,14 @@ from pciseg.core import (
     Scene,
     aabb_from_mask,
     aabb_from_points,
-    aabb_giou,
-    aabb_iou,
     aabb_iou_matrix,
     binarize,
-    dice_loss,
     mask_iou,
     voxelize,
 )
 from pciseg.pipeline import ModelParams, PipelineConfig, _forward_pointwise
 
-from conftest import toy_scene
+from conftest import aabb_giou, aabb_iou, dice_loss, toy_scene
 
 
 def unit_cube(origin=(0.0, 0.0, 0.0)):

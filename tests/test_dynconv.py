@@ -1,3 +1,7 @@
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from pciseg import autodiff as ad
+from pciseg import dynconv
 from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout, decode_mask_logits
 from pciseg.supervision import fd_gradient_check
@@ -239,6 +244,12 @@ class TestForward:
         assert np.all((out_b > 0.5) == [False, False, True, True])
 
 
+def repeat_rows(x, k):
+    """(N, H) ``x`` broadcast to (K, N, H); the vjp sums the K copies, as
+    undoing numpy broadcasting does."""
+    return ad.node(np.broadcast_to(x.value, (k,) + x.shape), (x,), lambda g: (g.sum(axis=0),))
+
+
 def batched_oracle(fmask, positions, point_boxes, cand_positions, cand_boxes, kernels, layout, geo_cue):
     """The reference decoder: all K candidates' (K, N, c_0) inputs at once.
 
@@ -251,7 +262,7 @@ def batched_oracle(fmask, positions, point_boxes, cand_positions, cand_boxes, ke
         geo = ad.mul(geo, 0.0)
     x = ad.concat(
         [
-            ad.broadcast_to(ad.reshape(fmask, (1, n, h)), (k, n, h)),
+            repeat_rows(fmask, k),
             Var(positions[None, :, :] - cand_positions[:, None, :]),
             geo,
         ],
@@ -374,3 +385,146 @@ class TestFusedDecoder:
             tracemalloc.stop()
         assert logits.shape == (k, n)
         assert peak < 16e6, f"decoding peaked at {peak / 1e6:.1f} MB"
+
+
+def decode_with_grads(k, n, geo_cue):
+    """Logits, the four gradients and the branch-signature digest of one
+    decode and backward over a random (K, N) case."""
+    values, positions, cand_positions, layout = decoder_case(k, n, (13, 8, 1), seed=k + n)
+    upstream = np.random.default_rng(4).normal(size=(k, n))
+    p = {name: ad.parameter(v) for name, v in values.items()}
+
+    def run():
+        logits = decode(decode_mask_logits, p, positions, cand_positions, layout, geo_cue)
+        ad.backward(ad.vsum(ad.mul(logits, upstream)))
+        return logits
+
+    logits, digest = ad.capture_signature(run)
+    return [logits.value.tobytes()] + [p[name].grad.tobytes() for name in values] + [digest]
+
+
+class TracksThreads(np.ndarray):
+    """Candidate positions that note the thread reading each candidate."""
+
+    def __getitem__(self, k):
+        self.readers.add(threading.get_ident())
+        return np.asarray(self)[k]
+
+
+class TestWorkerSplit:
+    """The forward splits candidates over ``dynconv.WORKERS`` threads; no
+    byte of the result may depend on the split. Unless a test says
+    otherwise, a share may be as small as one candidate-point pair."""
+
+    @pytest.fixture(autouse=True)
+    def any_share_size(self, monkeypatch):
+        monkeypatch.setattr(dynconv, "MIN_SHARE_PAIRS", 1)
+
+    @pytest.mark.parametrize("n", [1, 37, 4096])
+    @pytest.mark.parametrize("k", [1, 2, 5, 96])
+    @pytest.mark.parametrize("geo_cue", ["on", "zero"])
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, geo_cue, k, n):
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynconv, "WORKERS", workers)
+            results[workers] = decode_with_grads(k, n, geo_cue)
+        names = ["logits", "fmask", "point_boxes", "cand_boxes", "kernels", "signature"]
+        for workers in (2, 3):
+            for name, want, got in zip(names, results[1], results[workers]):
+                assert got == want, f"{name} differs with {workers} workers"
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # Eight threads switching every microsecond share the logits and the
+        # per-candidate signature marks; a lost or misplaced row changes bytes.
+        results = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                monkeypatch.setattr(dynconv, "WORKERS", workers)
+                results[workers] = decode_with_grads(96, 37, "on")
+        finally:
+            sys.setswitchinterval(switch)
+        assert results[8] == results[1]
+
+    @pytest.mark.parametrize("min_share_pairs,threads",[(1, 2), (6 * 37 // 2, 2), (6 * 37 // 2 + 1, 1)])
+    def test_shares_hold_min_share_pairs(self, monkeypatch, min_share_pairs, threads):
+        monkeypatch.setattr(dynconv, "WORKERS", 2)
+        monkeypatch.setattr(dynconv, "MIN_SHARE_PAIRS", min_share_pairs)
+        values, positions, cand_positions, layout = decoder_case(6, 37, (13, 8, 1))
+        tracked = cand_positions.view(TracksThreads)
+        tracked.readers = set()
+        p = {name: Var(v) for name, v in values.items()}
+        decode(decode_mask_logits, p, positions, tracked, layout, "on")
+        assert len(tracked.readers) == threads
+
+    @pytest.mark.parametrize(
+        "env,cpus,expected",
+        [
+            ({}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 1),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 4),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),
+            ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 3, 3),
+        ],
+    )
+    def test_worker_rule(self, monkeypatch, env, cpus, expected):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(dynconv.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert dynconv.worker_count() == expected
+
+    def test_worker_error_raised_after_every_thread_joined(self, monkeypatch):
+        # Candidate 1 (share 1 of 3) fails at once; candidate 5 (share 2)
+        # is still decoding then. The caller must wait for it, then raise.
+        monkeypatch.setattr(dynconv, "WORKERS", 3)
+        values, positions, cand_positions, layout = decoder_case(6, 37, (13, 8, 1))
+        seen = {}
+
+        class FailsAtOne(np.ndarray):
+            def __getitem__(self, k):
+                if k == 1:
+                    seen["failed_on"] = threading.get_ident()
+                    raise RuntimeError("candidate 1 failed")
+                if k == 5:
+                    time.sleep(0.2)
+                    seen["finished_5"] = True
+                return np.asarray(self)[k]
+
+        p = {name: Var(v) for name, v in values.items()}
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="candidate 1 failed"):
+            decode(decode_mask_logits, p, positions, cand_positions.view(FailsAtOne), layout, "on")
+        assert seen["failed_on"] != threading.get_ident()
+        assert seen.get("finished_5")
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_decodes_after_threaded_decode(self, monkeypatch):
+        monkeypatch.setattr(dynconv, "WORKERS", 2)
+        values, positions, cand_positions, layout = decoder_case(5, 37, (13, 8, 1))
+        p = {name: Var(v) for name, v in values.items()}
+
+        def logits_bytes():
+            return decode(decode_mask_logits, p, positions, cand_positions, layout, "on").value.tobytes()
+
+        want = logits_bytes()
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: writer.send_bytes(logits_bytes()))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60.0), "the forked child did not decode within 60 s"
+            got = reader.recv_bytes()
+        finally:
+            child.join(10.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == want

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pciseg.core import Aabb, Prediction, aabb_iou
+from pciseg.core import Aabb, Prediction
 from pciseg.evalmetrics import AP_THRESHOLDS, average_precision, evaluate
 
-from conftest import toy_scene
+from conftest import aabb_iou, toy_scene
 
 
 def scene_with_instances(spans, classes, n=24, num_classes=5):

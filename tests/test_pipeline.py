@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pciseg import autodiff as ad
-from pciseg import pipeline
+from pciseg import dynconv, pipeline
 from pciseg.core import BINARIZE_THRESHOLD, mask_iou
 from pciseg.pipeline import (
     MODEL_MAGIC,
@@ -121,6 +121,19 @@ class TestEncode:
         scene = toy_scene(pts, [1] * 4, [0] * 4)
         feats = _forward_pointwise(scene, model.as_vars(), config, None)[0].value
         assert np.array_equal(feats[0], feats[1])
+
+    def test_encoder_rows_do_not_depend_on_worker_count(self, monkeypatch):
+        # Half the points sit on a coarse grid, so ties and the exact
+        # fallback occur; the k-d tree queries split over the workers.
+        rng = np.random.default_rng(4)
+        positions = np.concatenate([np.round(rng.uniform(0, 1, (1000, 3)), 1), rng.uniform(0, 1, (1000, 3))])
+        colors = rng.uniform(0, 1, (2000, 3))
+        monkeypatch.setattr(dynconv, "MIN_SHARE_PAIRS", 1)
+        rows = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynconv, "WORKERS", workers)
+            rows.append(pipeline.encoder_inputs(positions, colors).tobytes())
+        assert rows[1] == rows[0] and rows[2] == rows[0]
 
     def test_zero_weights_zero_features(self):
         config = tiny_config()
@@ -369,7 +382,7 @@ class TestTraining:
         ad.backward(total)
         grads = [np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad for leaf in leaves.values()]
         vector = np.concatenate([g.ravel() for g in grads])
-        assert vector.shape == (model.num_parameters(),)
+        assert vector.shape == (sum(value.size for value in model.params.values()),)
         assert np.all(np.isfinite(vector))
         assert np.any(vector != 0.0)
 

@@ -69,6 +69,17 @@ class TestFps:
         with pytest.raises(ValueError, match="filtered"):
             fps(line_points(), 2, seed_index=0, candidate_filter=keep)
 
+    def test_seed_inside_filter(self):
+        # 2 and 8 tie at distance 3 from the seed 5; the lower index wins.
+        keep = np.zeros(10, dtype=bool)
+        keep[[2, 5, 8]] = True
+        assert fps(line_points(), 3, seed_index=5, candidate_filter=keep).tolist() == [5, 2, 8]
+
+    @pytest.mark.parametrize("seed_index", [-1, 10])
+    def test_seed_out_of_range(self, seed_index):
+        with pytest.raises(ValueError, match="out of range"):
+            fps(line_points(), 2, seed_index=seed_index)
+
     def test_filter_restricts_selection(self):
         keep = np.zeros(10, dtype=bool)
         keep[[2, 5, 8]] = True

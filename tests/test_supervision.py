@@ -6,7 +6,7 @@ from scipy.special import expit, logit
 
 from pciseg import autodiff as ad
 from pciseg.autodiff import Var
-from pciseg.core import aabb_giou, Aabb, dice_loss, mask_iou, binarize
+from pciseg.core import Aabb, mask_iou, binarize
 from pciseg.dynconv import KernelLayout, decode_mask_logits
 from pciseg.supervision import (
     LOG_EPS,
@@ -28,7 +28,7 @@ from pciseg.supervision import (
     pointwise_terms,
 )
 
-from conftest import toy_scene
+from conftest import aabb_giou, dice_loss, toy_scene
 
 
 def brute_force_min_cost(cost, duplication):
