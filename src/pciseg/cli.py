@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: ``generate`` synthetic scenes, ``recall-bench`` for the
-sampling strategies, ``train``, ``infer``, ``eval``, and ``runtime-bench``
-for per-stage inference timings.
+instance recall of the sampling strategies, ``train`` a model, ``infer``
+one scene, and ``eval`` a directory of predictions. Per-layer timings come
+from the benchmark, ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -35,23 +36,34 @@ logger = logging.getLogger(__name__)
 
 
 def _load_dataclass(cls, path: str | None):
-    """Build a config dataclass from a JSON file, rejecting unknown keys
-    and values whose JSON type does not fit the field.
+    """Build a config dataclass from a JSON file, rejecting unreadable
+    files, unknown keys, values whose JSON type does not fit the field and
+    values the dataclass itself refuses; each exits with a message that
+    names the file.
 
     JSON lists become tuples, the type of every sequence-valued field.
     """
     if path is None:
         return cls()
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SystemExit(f"{path}: not a readable JSON file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SystemExit(f"{path}: a config must be a JSON object, got {type(raw).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(raw) - set(fields)
     if unknown:
-        raise SystemExit(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+        raise SystemExit(f"{path}: unknown config keys for {cls.__name__}: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     for key, value in raw.items():
         if not _fits(value, hints[key]):
-            raise SystemExit(f"config key {key!r} of {cls.__name__} must be {fields[key].type}, got {value!r}")
-    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
+            wanted = fields[key].type
+            raise SystemExit(f"{path}: config key {key!r} of {cls.__name__} must be {wanted}, got {value!r}")
+    try:
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
+    except ValueError as exc:
+        raise SystemExit(f"{path}: invalid {cls.__name__}: {exc}") from None
 
 
 def _fits(value, hint) -> bool:
@@ -167,23 +179,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_runtime_bench(args) -> int:
-    model = pipeline.load_model(args.model)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["scene", "encoder_ms", "instance_encoder_ms", "mask_decoder_ms", "total_ms"])
-    for path in _scene_files(Path(args.scenes)):
-        scene = scenegen.read_scene(path)
-        timings: dict = {}
-        pipeline.infer(scene, model, timings=timings)
-        total = sum(timings.values())
-        writer.writerow(
-            [path.stem]
-            + [f"{timings[k]:.2f}" for k in ("encoder", "instance_encoder", "mask_decoder")]
-            + [f"{total:.2f}"]
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pciseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -220,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-dir", required=True)
     p.add_argument("--csv", help="optional per-class CSV output path")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("runtime-bench", help="per-stage inference timings")
-    p.add_argument("--scenes", required=True)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_runtime_bench)
 
     return parser
 

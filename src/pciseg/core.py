@@ -27,8 +27,8 @@ class Scene:
     positions are metric xyz coordinates, colors are RGB in [0, 1].
     ``instance_gt`` uses -1 for points that belong to no instance; present
     instance ids form the contiguous range [0, num_instances) and every
-    instance is single-class. ``superpoints`` is an optional partition of
-    the points into region ids.
+    instance lies on one semantic class other than the background class 0.
+    ``superpoints`` is an optional partition of the points into region ids.
     """
 
     positions: np.ndarray
@@ -65,6 +65,8 @@ class Scene:
         if self.superpoints is not None and self.superpoints.shape != (n,):
             raise ValueError("superpoints must have shape (N,)")
         ids = np.unique(self.instance_gt)
+        if ids[0] < -1:
+            raise ValueError("instance ids must be -1 (no instance) or nonnegative")
         ids = ids[ids >= 0]
         j = int(ids.max()) + 1 if ids.size else 0
         if ids.size != j:
@@ -73,6 +75,8 @@ class Scene:
             classes = np.unique(self.semantic_gt[self.instance_gt == inst])
             if classes.size != 1:
                 raise ValueError(f"instance {inst} spans multiple semantic classes")
+            if classes[0] == 0:
+                raise ValueError(f"instance {inst} lies on background class 0")
         object.__setattr__(self, "_num_instances", j)
 
     @property

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import struct
-import time
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -86,7 +85,6 @@ class PipelineConfig:
     radii: tuple[float, float] = (0.2, 0.4)
     num_neighbors: int = 32
     voxel_size: float | None = None
-    devoxelization: str = "late"  # "early" | "late"
     # training
     learning_rate: float = 5e-3
     grad_clip: float = 5.0
@@ -99,8 +97,8 @@ class PipelineConfig:
             raise ValueError("need background plus at least one instance class")
         if self.geo_cue not in ("on", "zero"):
             raise ValueError("geo_cue must be on or zero")
-        if self.devoxelization not in ("early", "late"):
-            raise ValueError("devoxelization must be early or late")
+        self.kernel_layout()  # raises on a malformed layout
+        self.sample_budget()  # raises on malformed chunks
         # decoder input: mask features, 3 offsets, 6 box differences
         if self.layout_dims[0] != self.mask_dim + 9:
             raise ValueError(
@@ -295,21 +293,18 @@ def _affine(x: Var, p: dict, name: str) -> Var:
 def _forward_pointwise(scene: Scene, p: dict, config: PipelineConfig, cache: EncoderCache | None):
     """Backbone features plus pointwise heads, all at point resolution.
 
-    In voxel mode the encoder and, under late expansion, the pointwise
-    heads run at voxel resolution; rows broadcast back to points via the
-    voxel map. Early expansion broadcasts right after the encoder. Both
-    orders produce identical per-point rows because every map is pointwise.
+    In voxel mode the encoder and the pointwise heads run at voxel
+    resolution, and their rows are then gathered to points through the
+    voxel map (late expansion). Every map is pointwise, so gathering right
+    after the encoder instead would give identical per-point rows.
     """
     if cache is None:
         cache = build_encoder_cache(scene, config)
     feats = _mlp3(Var(cache.inputs), p, "enc")
-    expand_late = cache.vmap is not None and config.devoxelization == "late"
-    if cache.vmap is not None and not expand_late:
-        feats = feats[cache.vmap.point_to_voxel]
     sem = _affine(feats, p, "point.sem")
     boxes = box_from_raw(_affine(feats, p, "point.box"))
     fmask = _affine(feats, p, "point.mask")
-    if expand_late:
+    if cache.vmap is not None:
         idx = cache.vmap.point_to_voxel
         feats, sem, boxes, fmask = feats[idx], sem[idx], boxes[idx], fmask[idx]
     return feats, sem, boxes, fmask
@@ -393,7 +388,6 @@ def infer(
     scene: Scene,
     model: ModelParams,
     config: PipelineConfig | None = None,
-    timings: dict | None = None,
 ) -> list[Prediction]:
     """Full inference pass; deterministic given (scene, model, config).
 
@@ -406,16 +400,10 @@ def infer(
     p = model.as_vars()
     layout = config.kernel_layout()
 
-    t0 = time.perf_counter()
     feats, sem, point_boxes, fmask = _forward_pointwise(scene, p, config, None)
-    t1 = time.perf_counter()
 
     def stop(reason: str) -> list[Prediction]:
         logger.debug("inference stopped early: %s", reason)
-        if timings is not None:
-            timings.update(
-                {"encoder": (t1 - t0) * 1e3, "instance_encoder": 0.0, "mask_decoder": 0.0}
-            )
         return []
 
     positions = scene.positions
@@ -428,17 +416,14 @@ def infer(
     stage1 = fps(positions, min(config.stage1_budget, int(foreground.sum())), candidate_filter=foreground)
     encode = _candidate_encoder(p, config, feats, positions, stage1)
     chunks: list[tuple] = []  # (class logits, boxes, quality, soft masks) per candidate chunk
-    decode_s = 0.0
 
     def candidate_stage(local_idx: np.ndarray) -> np.ndarray:
         """Encode one chunk of candidates and decode their masks over all points.
 
         Returns the masks at the stage-1 points: the IA-FPS feedback.
         """
-        nonlocal decode_s
         cls_logits, boxes, kernels, quality = encode(local_idx)
         centers = stage1[local_idx]
-        t = time.perf_counter()
         logits = _decode_mask_logits(
             fmask,
             positions,
@@ -450,7 +435,6 @@ def infer(
             config.geo_cue,
         )
         masks = expit(logits.value)
-        decode_s += time.perf_counter() - t
         chunks.append((cls_logits.value, boxes.value, quality.value, masks))
         return masks[:, stage1]
 
@@ -462,7 +446,6 @@ def infer(
     if decoded < local_order.size:
         candidate_stage(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
     cls_logits, boxes, quality, soft_masks = (np.concatenate(parts) for parts in zip(*chunks))
-    t2 = time.perf_counter()
 
     class_ids, scores = _score_candidates(cls_logits, quality)
     binary = binarize(soft_masks)
@@ -490,15 +473,6 @@ def infer(
             )
         )
     predictions.sort(key=lambda pr: -pr.score)
-    t3 = time.perf_counter()
-    if timings is not None:
-        timings.update(
-            {
-                "encoder": (t1 - t0) * 1e3,
-                "instance_encoder": (t2 - t1 - decode_s) * 1e3,
-                "mask_decoder": (t3 - t2 + decode_s) * 1e3,
-            }
-        )
     return predictions
 
 

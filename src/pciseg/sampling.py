@@ -63,10 +63,7 @@ class OccupancyState:
 
     def available(self, claimed: Sequence[np.ndarray]) -> np.ndarray:
         """Points passing the background test and every claimed-mask test."""
-        keep = self.foreground()
-        for m in claimed:
-            keep &= (1.0 - m) > self.threshold
-        return keep
+        return self.foreground() & self.unclaimed(claimed)
 
     def unclaimed(self, claimed: Sequence[np.ndarray]) -> np.ndarray:
         """Points passing the claimed-mask tests, ignoring background."""

@@ -9,7 +9,7 @@ pointwise semantic and box terms) is written on the differentiation tape;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,21 +20,14 @@ from .core import Scene, binarize, mask_iou
 
 LOG_EPS = 1e-12
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the matching cost and the instance-loss terms."""
-
-    gamma_mask: float = 5.0
-    lambda_box: float = 1.0
-    lambda_mask: float = 5.0
-    lambda_ms: float = 1.0
-    no_object_weight: float = 0.5
-
-    def __post_init__(self):
-        for name in ("gamma_mask", "lambda_box", "lambda_mask", "lambda_ms", "no_object_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+# Weights of the matching cost (mask dice against class likelihood) and of
+# the instance-loss terms; unmatched candidates' classification rows count
+# NO_OBJECT_WEIGHT each.
+GAMMA_MASK = 5.0
+LAMBDA_BOX = 1.0
+LAMBDA_MASK = 5.0
+LAMBDA_MS = 1.0
+NO_OBJECT_WEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,6 @@ def matching_cost_matrix(
     class_probs: np.ndarray,
     gt_masks: np.ndarray,
     gt_classes: np.ndarray,
-    weights: LossWeights = LossWeights(),
 ) -> np.ndarray:
     """All-pairs matching costs, (K, J)."""
     pred_masks = np.asarray(pred_masks, dtype=np.float64)
@@ -83,7 +75,7 @@ def matching_cost_matrix(
     with np.errstate(invalid="ignore", divide="ignore"):
         dice = np.where(sums > 0.0, 1.0 - 2.0 * cross / sums, 0.0)
     probs = np.maximum(np.asarray(class_probs, dtype=np.float64)[:, np.asarray(gt_classes)], LOG_EPS)
-    return weights.gamma_mask * dice - np.log(probs)
+    return GAMMA_MASK * dice - np.log(probs)
 
 
 def one_to_many_match(cost: np.ndarray, duplication: int) -> Assignment:
@@ -212,7 +204,6 @@ def instance_loss_terms(
     assignment: Assignment,
     preds: InstancePredictions,
     targets: InstanceTargets,
-    weights: LossWeights = LossWeights(),
 ) -> dict[str, Var]:
     """Instance-loss components as tape variables.
 
@@ -226,7 +217,7 @@ def instance_loss_terms(
     no_object = class_logits.shape[1] - 1
 
     cls_targets = np.full(k, no_object, dtype=np.int64)
-    sample_w = np.full(k, weights.no_object_weight, dtype=np.float64)
+    sample_w = np.full(k, NO_OBJECT_WEIGHT, dtype=np.float64)
     cands = assignment.matched_candidates
     if cands.size:
         cls_targets[cands] = targets.classes[assignment.matched_targets]
@@ -256,10 +247,7 @@ def instance_loss_terms(
         terms["ms"] = Var(0.0)
 
     terms["total"] = (
-        terms["cls"]
-        + weights.lambda_box * terms["box"]
-        + weights.lambda_mask * terms["mask"]
-        + weights.lambda_ms * terms["ms"]
+        terms["cls"] + LAMBDA_BOX * terms["box"] + LAMBDA_MASK * terms["mask"] + LAMBDA_MS * terms["ms"]
     )
     return terms
 
@@ -304,7 +292,6 @@ class LossReport:
     ms_loss: float
     semantic_loss: float = 0.0
     point_box_loss: float = 0.0
-    weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
         for name in ("cls_loss", "box_loss", "mask_loss", "ms_loss", "semantic_loss", "point_box_loss"):
@@ -314,12 +301,8 @@ class LossReport:
 
     @property
     def instance_total(self) -> float:
-        w = self.weights
         return (
-            self.cls_loss
-            + w.lambda_box * self.box_loss
-            + w.lambda_mask * self.mask_loss
-            + w.lambda_ms * self.ms_loss
+            self.cls_loss + LAMBDA_BOX * self.box_loss + LAMBDA_MASK * self.mask_loss + LAMBDA_MS * self.ms_loss
         )
 
     @property

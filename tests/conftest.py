@@ -4,6 +4,9 @@ import threading
 import numpy as np
 import pytest
 
+from pciseg import pipeline
+from pciseg.aggregator import box_from_raw
+from pciseg.autodiff import Var
 from pciseg.core import Aabb, Scene
 
 
@@ -70,6 +73,21 @@ def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(1.0 - 2.0 * np.dot(pred, gt) / denom)
+
+
+def early_expansion_pointwise(scene, p, config, cache):
+    """Reference for ``pipeline._forward_pointwise`` with the other voxel
+    expansion order: in voxel mode the encoder's voxel rows are gathered to
+    points first, and the pointwise heads then run at point resolution."""
+    if cache is None:
+        cache = pipeline.build_encoder_cache(scene, config)
+    feats = pipeline._mlp3(Var(cache.inputs), p, "enc")
+    if cache.vmap is not None:
+        feats = feats[cache.vmap.point_to_voxel]
+    sem = pipeline._affine(feats, p, "point.sem")
+    boxes = box_from_raw(pipeline._affine(feats, p, "point.box"))
+    fmask = pipeline._affine(feats, p, "point.mask")
+    return feats, sem, boxes, fmask
 
 
 def read_from_fifo(read, data, fifo):

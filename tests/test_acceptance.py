@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from pciseg import autodiff as ad
+from pciseg import autodiff as ad, pipeline
 from pciseg.autodiff import Var
 from pciseg.aggregator import ball_query
 from pciseg.core import mask_iou
@@ -40,8 +40,10 @@ from pciseg.sampling import (
 )
 from pciseg.scenegen import GenConfig, generate
 from pciseg.supervision import (
+    LAMBDA_BOX,
+    LAMBDA_MASK,
+    LAMBDA_MS,
     LossReport,
-    LossWeights,
     bce_with_logits,
     box_giou,
     box_l1,
@@ -52,6 +54,7 @@ from pciseg.supervision import (
     one_to_many_match,
 )
 
+from conftest import early_expansion_pointwise
 from test_aggregator import stacked_features, zero_block
 from test_evalmetrics import prediction_for, reference_ap, scene_with_instances
 from test_supervision import assignment_cost, brute_force_min_cost
@@ -292,7 +295,7 @@ def test_criterion_5_ap_evaluator_oracle():
     report("criterion-5", "50 micro-cases equal the brute-force PR area; perfect set scores 1.0")
 
 
-def test_criterion_6_late_devoxelization_equivalence():
+def test_criterion_6_late_devoxelization_equivalence(monkeypatch):
     scenes = generate(GenConfig(num_scenes=10, points_per_scene=512, seed=31))
     assert len(scenes) == 10
     base = dict(
@@ -306,11 +309,14 @@ def test_criterion_6_late_devoxelization_equivalence():
         num_neighbors=8,
         voxel_size=0.05,
     )
-    model = ModelParams.initialize(PipelineConfig(**base), 9)
+    config = PipelineConfig(**base)
+    model = ModelParams.initialize(config, 9)
     worst = 0.0
     for scene in scenes:
-        early = infer(scene, model, PipelineConfig(**base, devoxelization="early"))
-        late = infer(scene, model, PipelineConfig(**base, devoxelization="late"))
+        late = infer(scene, model, config)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_forward_pointwise", early_expansion_pointwise)
+            early = infer(scene, model, config)
         assert len(early) == len(late)
         for a, b in zip(early, late):
             worst = max(worst, float(np.max(np.abs(a.soft_mask - b.soft_mask))))
@@ -445,9 +451,8 @@ def test_criterion_8_invariant_suites():
     assert np.all(boxes[:, :3] <= boxes[:, 3:])
 
     # loss decomposition identity is exact
-    weights = LossWeights()
-    rep = LossReport(0.7, 0.3, 0.9, 0.2, 0.4, 0.1, weights)
-    assert rep.instance_total == 0.7 + weights.lambda_box * 0.3 + weights.lambda_mask * 0.9 + weights.lambda_ms * 0.2
+    rep = LossReport(0.7, 0.3, 0.9, 0.2, 0.4, 0.1)
+    assert rep.instance_total == 0.7 + LAMBDA_BOX * 0.3 + LAMBDA_MASK * 0.9 + LAMBDA_MS * 0.2
     assert rep.total == rep.instance_total + 0.5
 
     report(

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from pciseg.cli import main
-from pciseg.scenegen import read_predictions, read_scene
+from pciseg.pipeline import PipelineConfig
+from pciseg.scenegen import GenConfig, read_predictions, read_scene
 
 
 @pytest.fixture
@@ -88,10 +92,11 @@ def test_train_infer_eval_round_trip(tmp_path, scene_dir, capsys):
         assert 0.0 <= report[key] <= 1.0
     assert csv_path.exists()
 
-    assert main(["runtime-bench", "--scenes", str(scene_dir), "--model", str(model_path)]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["scene", "encoder_ms", "instance_encoder_ms", "mask_decoder_ms", "total_ms"]
-    assert len(rows) == 7
+    # Per-stage timings come from the benchmark; the subcommand is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["runtime-bench", "--scenes", str(scene_dir), "--model", str(model_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'runtime-bench'" in capsys.readouterr().err
 
 
 def test_eval_ap_only(tmp_path, scene_dir, capsys):
@@ -128,6 +133,7 @@ REMOVED_KEYS = [
     ("train", "pointwise_box_weight", 1.0),
     ("train", "loss_weights", {"gamma_mask": 5.0}),
     ("train", "decode_chunk", 96),
+    ("train", "devoxelization", "late"),
     ("generate", "noise_sigma", 0.01),
     ("generate", "superpoint_voxel", 0.1),
 ]
@@ -167,9 +173,44 @@ def test_mistyped_config_value_rejected(tmp_path, command, key, value, wanted):
     assert not (tmp_path / "out").exists()
 
 
+BAD_CONFIGS = [
+    pytest.param("generate", "null", "a config must be a JSON object, got NoneType", id="generate-null"),
+    pytest.param("generate", "{bad", "not a readable JSON file", id="generate-unparsable"),
+    pytest.param("generate", "[" * 100_000, "not a readable JSON file", id="generate-too-deep"),
+    pytest.param("generate", '{"num_classes": 1}', "invalid GenConfig: num_classes must lie in", id="generate-refused"),
+    pytest.param("train", "[1, 2]", "a config must be a JSON object, got list", id="train-list"),
+    pytest.param("train", '{"num_classes": 1}', "invalid PipelineConfig: need background", id="train-refused"),
+    pytest.param("train", '{"layout_dims": []}', "invalid PipelineConfig: layout needs", id="train-empty-layout"),
+    pytest.param("train", '{"chunk_sizes": []}', "invalid PipelineConfig: at least one chunk", id="train-empty-chunks"),
+    pytest.param("train", None, "not a readable JSON file", id="train-missing-file"),
+]
+
+
+@pytest.mark.parametrize("command, text, wanted", BAD_CONFIGS)
+def test_bad_config_file_exits_with_message(tmp_path, command, text, wanted):
+    # Unparsable, non-object, refused or missing configs exit with a message naming the file.
+    cfg = tmp_path / "bad.json"
+    if text is not None:
+        cfg.write_text(text)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--data", str(tmp_path)]
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(cfg))}: {wanted}"):
+        main(args)
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_lists_the_accepted_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    accepted = re.search(r"accepted\s+keys\s+are:(.*?)These\s+former\s+keys", readme, re.S).group(1)
+    for cls in (GenConfig, PipelineConfig):
+        bullet = re.search(rf"^- `{cls.__name__}`:(.*?)(?=^- |\Z)", accepted, re.M | re.S)
+        assert bullet, f"README lists no accepted keys for {cls.__name__}"
+        assert re.findall(r"`(\w+)`", bullet.group(1)) == [f.name for f in dataclasses.fields(cls)]
+
+
 def test_config_values_of_the_field_types_accepted(tmp_path):
     from pciseg.cli import _load_dataclass
-    from pciseg.pipeline import PipelineConfig
 
     cfg = tmp_path / "typed.json"
     # JSON integers are valid floats; null is a valid optional value.

@@ -293,6 +293,18 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="classes"):
             toy_scene([[0, 0, 0], [1, 1, 1]], [1, 2], [0, 0])
 
+    @pytest.mark.parametrize("bad", [-2, -7])
+    def test_instance_ids_below_minus_one_rejected(self, bad):
+        # Only -1 means "no instance"; another negative id is a corrupt label.
+        with pytest.raises(ValueError, match="-1"):
+            toy_scene([[0, 0, 0], [1, 1, 1], [2, 2, 2]], [1, 1, 0], [0, 0, bad])
+
+    def test_instance_on_background_class_rejected(self):
+        # Class 0 is background: an instance there would train toward no class.
+        with pytest.raises(ValueError, match="background"):
+            toy_scene([[0, 0, 0], [1, 1, 1], [2, 2, 2]], [1, 0, 0], [0, 1, -1])
+        assert toy_scene([[0, 0, 0], [1, 1, 1]], [0, 1], [-1, 0]).num_instances == 1
+
     def test_nonfinite_positions_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             toy_scene([[np.nan, 0, 0]], [0], [-1])

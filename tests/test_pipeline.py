@@ -24,7 +24,7 @@ from pciseg.pipeline import (
 )
 from pciseg.scenegen import GenConfig, generate
 
-from conftest import needs_fifo, read_from_fifo, toy_scene
+from conftest import early_expansion_pointwise, needs_fifo, read_from_fifo, toy_scene
 
 
 def tiny_config(**kwargs):
@@ -109,7 +109,7 @@ class TestConfig:
             PipelineConfig(**{name: self.CONSTANTS[name]})
 
     def test_settable_field_counts(self):
-        assert len(dataclasses.fields(PipelineConfig)) == 17
+        assert len(dataclasses.fields(PipelineConfig)) == 16
         assert len(dataclasses.fields(GenConfig)) == 9
 
 
@@ -146,11 +146,10 @@ class TestEncode:
         assert np.array_equal(feats, np.zeros((6, config.d_model)))
 
     def test_early_late_devoxelization_identical(self, two_cluster_scene):
-        config_early = tiny_config(voxel_size=0.08, devoxelization="early")
-        config_late = tiny_config(voxel_size=0.08, devoxelization="late")
-        p = ModelParams.initialize(config_early, 5).as_vars()
-        early = _forward_pointwise(two_cluster_scene, p, config_early, None)
-        late = _forward_pointwise(two_cluster_scene, p, config_late, None)
+        config = tiny_config(voxel_size=0.08)
+        p = ModelParams.initialize(config, 5).as_vars()
+        early = early_expansion_pointwise(two_cluster_scene, p, config, None)
+        late = _forward_pointwise(two_cluster_scene, p, config, None)
         for a, b in zip(early[1:], late[1:]):  # semantic logits, boxes, mask features
             assert np.max(np.abs(a.value - b.value)) <= 1e-12
 
@@ -278,14 +277,6 @@ class TestInfer:
         scores = [p.score for p in preds]
         assert scores == sorted(scores, reverse=True)
 
-    def test_timings_reported(self, two_cluster_scene):
-        config = tiny_config()
-        model = ModelParams.initialize(config, 12)
-        timings = {}
-        infer(two_cluster_scene, model, config, timings=timings)
-        assert set(timings) == {"encoder", "instance_encoder", "mask_decoder"}
-        assert all(v >= 0.0 for v in timings.values())
-
     def test_each_candidate_aggregated_and_decoded_once(self, two_cluster_scene, monkeypatch):
         # Three IA-FPS chunks, the last one never fed back; each chunk is
         # decoded in one call.
@@ -320,12 +311,14 @@ class TestInfer:
         assert decoded_widths == {two_cluster_scene.num_points}
         assert decode_calls == [4, 3, len(candidates) - 7]
 
-    def test_early_late_full_pipeline_identical(self, two_cluster_scene):
+    def test_early_late_full_pipeline_identical(self, two_cluster_scene, monkeypatch):
         model = ModelParams.initialize(tiny_config(), 5)
+        config = tiny_config(voxel_size=0.08)
         outs = []
-        for mode in ("early", "late"):
-            config = tiny_config(voxel_size=0.08, devoxelization=mode)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_forward_pointwise", early_expansion_pointwise)
             outs.append(infer(two_cluster_scene, model, config))
+        outs.append(infer(two_cluster_scene, model, config))
         assert len(outs[0]) == len(outs[1])
         for pa, pb in zip(*outs):
             assert np.max(np.abs(pa.soft_mask - pb.soft_mask)) <= 1e-12

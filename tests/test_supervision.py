@@ -9,12 +9,15 @@ from pciseg.autodiff import Var
 from pciseg.core import Aabb, mask_iou, binarize
 from pciseg.dynconv import KernelLayout, decode_mask_logits
 from pciseg.supervision import (
+    GAMMA_MASK,
+    LAMBDA_BOX,
+    LAMBDA_MASK,
+    LAMBDA_MS,
     LOG_EPS,
     Assignment,
     InstancePredictions,
     InstanceTargets,
     LossReport,
-    LossWeights,
     bce_with_logits,
     box_giou,
     box_l1,
@@ -48,18 +51,18 @@ def assignment_cost(assignment, cost):
     return sum(cost[k, j] for k, j in assignment.pairs)
 
 
-def matching_cost(pred_mask, class_probs, gt_mask, gt_class, weights=LossWeights()):
+def matching_cost(pred_mask, class_probs, gt_mask, gt_class):
     """Scalar pairing cost, the reference for the batched matrix: weighted
     dice between masks plus the class negative log-likelihood."""
     p = max(float(class_probs[gt_class]), LOG_EPS)
     dice = dice_loss(pred_mask, np.asarray(gt_mask, dtype=np.float64))
-    return weights.gamma_mask * dice - float(np.log(p))
+    return GAMMA_MASK * dice - float(np.log(p))
 
 
-def pair_cost(pred_mask, class_probs, gt_mask, gt_class, weights=LossWeights()):
+def pair_cost(pred_mask, class_probs, gt_mask, gt_class):
     """Production cost matrix for a single prediction/ground-truth pair."""
     return matching_cost_matrix(
-        pred_mask[None], class_probs[None], np.asarray(gt_mask)[None], np.array([gt_class]), weights
+        pred_mask[None], class_probs[None], np.asarray(gt_mask)[None], np.array([gt_class])
     )[0, 0]
 
 
@@ -73,7 +76,7 @@ class TestMatchingCost:
         pred = np.array([1.0, 0.0])
         gt = np.array([False, True])
         probs = np.array([1.0, 0.0])
-        assert pair_cost(pred, probs, gt, 0, LossWeights(gamma_mask=5.0)) == pytest.approx(5.0)
+        assert pair_cost(pred, probs, gt, 0) == pytest.approx(GAMMA_MASK)
 
     def test_uniform_class_distribution(self):
         mask = np.array([1.0, 0.0])
@@ -162,14 +165,14 @@ class TestInstanceLoss:
     def test_perfect_prediction_zero_loss(self):
         preds = perfect_predictions(self.gt_masks, self.gt_classes, self.gt_boxes, 4)
         assignment = Assignment(((0, 0), (1, 1)), (), 1)
-        terms = instance_loss_terms(assignment, preds, self.targets, LossWeights())
+        terms = instance_loss_terms(assignment, preds, self.targets)
         assert float(terms["total"].value) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_pair_dice_half_plus_bce(self):
         # One matched candidate over 4 points: gt {1,1,0,0} with probs 0.5
         # everywhere gives dice = 1 - 2*1/(2+2) = 0.5; everything else is
-        # perfect and only lambda_mask is nonzero, so the total is
-        # 5 * (0.5 + bce) with bce hand-computed below.
+        # perfect, so every other term is about 0 and the total is
+        # LAMBDA_MASK * (0.5 + bce) with bce hand-computed below.
         p = 0.5
         probs = np.array([p, p, 1.0 - p, 1.0 - p])
         gt = np.array([True, True, False, False])
@@ -184,10 +187,9 @@ class TestInstanceLoss:
         quality = np.array([float(logit(np.clip(realized, 1e-12, 1 - 1e-12)))])
         preds = InstancePredictions(Var(masks), Var(cls), Var(boxes), Var(quality))
         targets = InstanceTargets(gt[None], np.array([0]), boxes)
-        weights = LossWeights(lambda_box=0.0, lambda_mask=5.0, lambda_ms=0.0)
-        terms = instance_loss_terms(Assignment(((0, 0),), (), 1), preds, targets, weights)
+        terms = instance_loss_terms(Assignment(((0, 0),), (), 1), preds, targets)
         assert float(terms["mask"].value) == pytest.approx(dice + bce, abs=1e-9)
-        assert float(terms["total"].value) == pytest.approx(5.0 * (dice + bce), abs=1e-7)
+        assert float(terms["total"].value) == pytest.approx(LAMBDA_MASK * (dice + bce), abs=1e-7)
 
     def test_dice_rows_match_core_dice(self):
         # Row-wise dice (the mask term's) equals the scalar dice of each row.
@@ -212,7 +214,7 @@ class TestInstanceLoss:
     def test_unmatched_only_keeps_cls_term(self):
         preds = perfect_predictions(self.gt_masks, self.gt_classes, self.gt_boxes, 4)
         assignment = Assignment((), (0, 1), 1)
-        terms = instance_loss_terms(assignment, preds, self.targets, LossWeights())
+        terms = instance_loss_terms(assignment, preds, self.targets)
         assert float(terms["mask"].value) == 0.0
         assert float(terms["box"].value) == 0.0
         assert float(terms["ms"].value) == 0.0
@@ -220,7 +222,6 @@ class TestInstanceLoss:
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(11)
-        weights = LossWeights(gamma_mask=5, lambda_box=1, lambda_mask=5, lambda_ms=1)
         report = LossReport(
             cls_loss=rng.uniform(),
             box_loss=rng.uniform(),
@@ -228,13 +229,12 @@ class TestInstanceLoss:
             ms_loss=rng.uniform(),
             semantic_loss=rng.uniform(),
             point_box_loss=rng.uniform(),
-            weights=weights,
         )
         expected = (
             report.cls_loss
-            + weights.lambda_box * report.box_loss
-            + weights.lambda_mask * report.mask_loss
-            + weights.lambda_ms * report.ms_loss
+            + LAMBDA_BOX * report.box_loss
+            + LAMBDA_MASK * report.mask_loss
+            + LAMBDA_MS * report.ms_loss
         )
         assert report.instance_total == expected
         assert report.total == expected + report.semantic_loss + report.point_box_loss
