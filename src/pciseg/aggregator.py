@@ -98,13 +98,24 @@ class AggregatorBlock:
                 raise ValueError(f"layer shapes must follow ({d}+3)->{d}->{d}->{d}")
 
 
-def _shared_map(block: AggregatorBlock, x: Var) -> Var:
-    h = x
-    for i, (w, b) in enumerate(block.layers):
-        h = ad.add(ad.matmul(h, w), b)
-        if i < 2:
-            h = ad.relu(h)
-    return h
+# Centres per chunk of the aggregation: 32 centres of 32 neighbours keep a
+# chunk's (32, 32, 35) input and its activations, about 0.8 MB, in cache,
+# and one set of chunk buffers serves every chunk of a call.
+CHUNK_CENTERS = 32
+
+
+def _continue_sum(total: np.ndarray | None, parts: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows of ``parts[1:]``, added in sequence.
+
+    ``parts[0]`` is scratch for the running total, so the sum over chunks
+    adds the same terms in the same order as one sum over every row (numpy
+    sums an outer axis in sequence). The first chunk (``total`` None) sums
+    its own rows alone, as that one sum would.
+    """
+    if total is None:
+        return parts[1:].sum(axis=0)
+    parts[0] = total
+    return parts.sum(axis=0)
 
 
 def aggregate_batch(
@@ -119,18 +130,106 @@ def aggregate_batch(
     features: (M, D) source features; centers: (K,) indices into the source
     set; neighbors: (K, Q) indices from :func:`ball_query` with the block's
     radius. Offsets are divided by the radius, so every coordinate lies in
-    [-1, 1] for genuine in-radius neighbors. Returns (K, D).
+    [-1, 1] for genuine in-radius neighbors. Returns (K, D). The layers may
+    be arrays or tape variables.
+
+    The shared map and the max over neighbours are one tape op. It walks
+    the centres in chunks of ``CHUNK_CENTERS`` through one (c, Q, D+3)
+    input buffer, the gathered features beside the normalized offsets, and
+    runs the three maps with ``np.matmul(out=)``, in-place bias and ReLU.
+    Every row gets the arithmetic of the unfused chain (gather, concat,
+    affine maps, max), so outputs and gradients equal its bytes. At
+    inference no activation is kept. When a parent requires a gradient, the
+    chunks write into full (K, Q, ·) input and hidden arrays and the argmax
+    per (centre, channel) is kept for the vjp. The vjp walks the chunks in
+    ascending order: g goes to the argmax rows, each bias and weight
+    gradient continues one running sum, and the neighbour rows' feature
+    gradients are scattered by one :func:`autodiff.scatter_rows` at the
+    end. While a branch signature is captured, both ReLU patterns and the
+    argmax are recorded as ``autodiff.relu`` and an axis max would record
+    them. The residual ``features[centers]`` stays a tape getitem and add.
     """
     positions = np.asarray(positions, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.int64)
     neighbors = np.asarray(neighbors, dtype=np.int64)
-    if neighbors.shape != (centers.shape[0], block.num_neighbors):
+    k_count, q = centers.shape[0], block.num_neighbors
+    if neighbors.shape != (k_count, q):
         raise ValueError("neighbors must be (K, Q)")
-    local_feat = features[neighbors]
-    local_pos = (positions[neighbors] - positions[centers][:, None, :]) / block.radius
-    x = ad.concat([local_feat, Var(local_pos)], axis=2)
-    pooled = ad.amax(_shared_map(block, x), axis=1)
-    return ad.add(features[centers], pooled)
+    features = ad.as_var(features)
+    m, d = features.shape
+    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= m):
+        raise ValueError("neighbors must index the source rows")
+    layers = [ad.as_var(t) for pair in block.layers for t in pair]
+    weights, biases = [w.value for w in layers[0::2]], [b.value for b in layers[1::2]]
+    parents = (features, *layers)
+    keep = any(p.requires_grad for p in parents)
+    marks = ([], []) if ad.recording() else None
+    chunk = min(CHUNK_CENTERS, k_count)
+    # Inputs and hidden activations: full arrays when the vjp reads them,
+    # else chunk buffers reused by every chunk.
+    rows = k_count if keep else chunk
+    x_all = np.empty((rows, q, d + 3))
+    hidden = [np.empty((rows, q, d)) for _ in range(2)]
+    last = np.empty((chunk, q, d))
+    pooled = np.empty((k_count, d))
+    winners = np.empty((k_count, d), dtype=np.intp) if keep or marks is not None else None
+    fv = features.value
+    offsets = (positions[neighbors] - positions[centers][:, None, :]) / block.radius
+
+    for start in range(0, k_count, CHUNK_CENTERS):
+        stop = min(start + CHUNK_CENTERS, k_count)
+        span = slice(start, stop) if keep else slice(0, stop - start)
+        acts = [x_all[span], hidden[0][span], hidden[1][span], last[: stop - start]]
+        acts[0][:, :, :d] = fv[neighbors[start:stop]]
+        acts[0][:, :, d:] = offsets[start:stop]
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            h = acts[layer + 1]
+            np.matmul(acts[layer], w, out=h)
+            h += b
+            if layer < 2:
+                if marks is not None:
+                    marks[layer].append(h > 0.0)
+                np.maximum(h, 0.0, out=h)
+        np.max(acts[3], axis=1, out=pooled[start:stop])
+        if winners is not None:
+            np.argmax(acts[3], axis=1, out=winners[start:stop])
+    if marks is not None:
+        for bits in (*marks[0], *marks[1], winners):
+            ad.record(bits)
+
+    def vjp(g):
+        g = np.ascontiguousarray(g)
+        # Row 0 of each gradient buffer carries a running sum into the next
+        # chunk's reduction (see _continue_sum).
+        gh = [np.empty((1 + chunk * q, d)) for _ in range(2)]
+        gx = np.empty((chunk, q, d + 3))
+        gw = [np.empty((1 + chunk, *w.shape)) for w in weights]
+        g_rows = np.empty((k_count, q, d))
+        bias_sums, weight_sums = [None] * 3, [None] * 3
+        for start in range(0, k_count, CHUNK_CENTERS):
+            stop = min(start + CHUNK_CENTERS, k_count)
+            c = stop - start
+            acts = [x_all[start:stop], hidden[0][start:stop], hidden[1][start:stop]]
+            grads = [buf[: 1 + c * q] for buf in gh]
+            out_rows = grads[0][1:].reshape(c, q, d)
+            out_rows.fill(0.0)
+            np.put_along_axis(out_rows, winners[start:stop, None, :], g[start:stop, None, :], axis=1)
+            for layer in (2, 1, 0):
+                parts = grads[layer % 2]
+                g_out = parts[1:].reshape(c, q, d)
+                if layer < 2:  # a ReLU output is positive exactly where its input was
+                    g_out *= acts[layer + 1] > 0.0
+                bias_sums[layer] = _continue_sum(bias_sums[layer], parts)
+                w_parts = gw[layer][: 1 + c]
+                np.matmul(np.swapaxes(acts[layer], 1, 2), g_out, out=w_parts[1:])
+                weight_sums[layer] = _continue_sum(weight_sums[layer], w_parts)
+                g_in = gx[:c] if layer == 0 else grads[(layer + 1) % 2][1:].reshape(c, q, d)
+                np.matmul(g_out, weights[layer].T, out=g_in)
+            g_rows[start:stop] = gx[:c, :, :d]
+        layer_grads = (s for pair in zip(weight_sums, bias_sums) for s in pair)  # None when K = 0
+        return (ad.scatter_rows(neighbors, g_rows, m), *layer_grads)
+
+    return ad.add(features[centers], ad.node(pooled, parents, vjp))
 
 
 def box_from_raw(raw: Var) -> Var:

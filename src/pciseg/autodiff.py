@@ -7,19 +7,20 @@ evaluation; :func:`backward` accumulates gradients into leaves created with
 graph construction entirely, so pure inference pays essentially nothing.
 
 Subgradient conventions (relevant only on measure-zero sets): ``relu`` and
-``absolute`` use 0 at the kink, ``maximum`` routes to its first argument on
-ties, axis reductions with ``amax`` route to the first maximal entry.
+``absolute`` use 0 at the kink, and ``maximum`` routes to its first argument
+on ties.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 from scipy.special import expit
 
 # Optional branch-pattern recording: while a sink is installed, every kinked
-# operation (relu, abs, maximum/minimum, amax) appends its branch decisions,
+# operation (relu, abs, maximum/minimum) appends its branch decisions,
 # and callers may append their own discrete decisions via `record`. Central
 # finite differences are only trustworthy when both evaluation points share
 # one branch pattern; see supervision.fd_gradient_check.
@@ -165,8 +166,8 @@ def mul(a, b) -> Var:
         a.value * b.value,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
+            _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None,
         ),
     )
 
@@ -197,8 +198,11 @@ def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)
-        gb = _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)
         return ga, gb
 
     return node(a.value @ b.value, (a, b), vjp)
@@ -258,21 +262,6 @@ def minimum(a, b) -> Var:
     return node(np.minimum(a.value, b.value), (a, b), vjp)
 
 
-def amax(x, axis: int) -> Var:
-    """Maximum along one axis; gradient flows to the first maximal entry."""
-    x = as_var(x)
-    out = x.value.max(axis=axis)
-    winners = x.value.argmax(axis=axis)
-    record(winners)
-
-    def vjp(g):
-        buf = np.zeros_like(x.value)
-        np.put_along_axis(buf, np.expand_dims(winners, axis), np.expand_dims(g, axis), axis)
-        return (buf,)
-
-    return node(out, (x,), vjp)
-
-
 def vsum(x, axis=None, keepdims: bool = False) -> Var:
     x = as_var(x)
 
@@ -320,10 +309,28 @@ def _is_advanced(idx) -> bool:
     return False
 
 
+def scatter_rows(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """The rows of ``values`` summed into ``count`` rows at ``index``.
+
+    ``values`` has shape ``index.shape + row_shape``, and every index lies
+    in [0, count). One ``np.bincount`` over the flat entries adds each
+    output entry's terms in index order, starting from +0.0, exactly as
+    ``np.add.at`` into zeros does, and several times faster.
+    """
+    row_shape = values.shape[np.ndim(index) :]
+    width = math.prod(row_shape)
+    flat = (np.asarray(index, dtype=np.intp).reshape(-1, 1) * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=np.ravel(values), minlength=count * width)
+    return sums.astype(np.float64, copy=False).reshape((count, *row_shape))
+
+
 def getitem(x, idx) -> Var:
     x = as_var(x)
 
     def vjp(g):
+        if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":  # whole rows
+            rows = x.value.shape[0]
+            return (scatter_rows(np.where(idx < 0, idx + rows, idx), g, rows),)
         buf = np.zeros_like(x.value)
         if _is_advanced(idx):
             np.add.at(buf, idx, g)

@@ -53,7 +53,7 @@ from .supervision import (
 logger = logging.getLogger(__name__)
 
 ENCODER_KNN = 16
-KNN_SLACK = 8  # extra k-d tree candidates per point beyond the k kept
+KNN_SLACK = 1  # spare k-d tree candidates per point beyond the k kept
 ENCODER_INPUT_DIM = 18
 DUPLICATION = 4  # candidates that matching may assign to one ground-truth instance
 
@@ -213,14 +213,15 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
     Neighborhoods are the 16 nearest points, self included, ordered by
     (squared distance, index): ties go to the lower index, so duplicated
     coordinates always receive identical rows. A k-d tree proposes
-    ``ENCODER_KNN + KNN_SLACK`` candidates per point, whose squared
-    distances are recomputed with the same arithmetic as an exact scan
-    and re-sorted; its queries split over ``dynconv.share_count`` threads,
-    and no row's answer depends on the split. A row whose k-th distance is not
-    clearly below its last candidate's may have a tie, or a rounding
-    difference, across the candidate boundary; only such rows are redone
-    exactly, over every point within the row's k-th candidate distance
-    (plus the rounding margin), which holds all k true nearest points.
+    ``ENCODER_KNN + KNN_SLACK`` candidates per point, one more than are
+    kept, whose squared distances are recomputed with the same arithmetic
+    as an exact scan and re-sorted; its queries split over
+    ``dynconv.share_count`` threads, and no row's answer depends on the
+    split. A row whose k-th distance is not clearly below its spare
+    candidate's may have a tie, or a rounding difference, across the
+    candidate boundary; only such rows are redone exactly, over every point
+    within the row's k-th candidate distance (plus the rounding margin),
+    which holds all k true nearest points.
     """
     positions = np.asarray(positions, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.float64)
@@ -239,19 +240,13 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
         near = np.array(tree.query_ball_point(positions[i], radius))
         d2_i = squared_distances(positions[i], positions[near])
         nn[i] = near[np.lexsort((near, d2_i))[:k]]
-    # Neighbour-major (k, N, 3) gathers: the statistics reduce over whole
-    # (N, 3) slices, with the same additions in the same order per row.
-    npos = positions[nn.T]
-    ncol = colors[nn.T]
+    # One neighbour-major (k, N, 6) gather of positions and colours: the
+    # statistics reduce over whole (N, 6) slices, with the same additions
+    # in the same order per entry.
+    near = np.concatenate([positions, colors], axis=1)[nn.T]
+    mean, std = near.mean(axis=0), near.std(axis=0)
     return np.concatenate(
-        [
-            positions,
-            colors,
-            npos.mean(axis=0),
-            npos.std(axis=0),
-            ncol.mean(axis=0),
-            ncol.std(axis=0),
-        ],
+        [positions, colors, mean[:, :3], std[:, :3], mean[:, 3:], std[:, 3:]],
         axis=1,
     )
 

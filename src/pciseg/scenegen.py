@@ -68,6 +68,11 @@ class GenConfig:
         w = np.asarray(self.scenario_weights, dtype=np.float64)
         if w.shape != (3,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("scenario weights must be three nonnegative values summing to 1")
+        room = np.asarray(self.room_size, dtype=np.float64)
+        if room.shape != (2,) or not np.all(np.isfinite(room)) or np.any(room <= 0):
+            raise ValueError("room_size must be two positive, finite sides")
+        if not 0.0 <= self.background_fraction < 1.0:
+            raise ValueError("background_fraction must lie in [0, 1)")
 
 
 class _PlacementError(RuntimeError):

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from pciseg import pipeline
+from pciseg import autodiff as ad, pipeline
 from pciseg.aggregator import box_from_raw
 from pciseg.autodiff import Var
 from pciseg.core import Aabb, Scene
@@ -73,6 +73,36 @@ def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(1.0 - 2.0 * np.dot(pred, gt) / denom)
+
+
+def amax(x, axis: int) -> Var:
+    """Maximum along one axis; gradient flows to the first maximal entry."""
+    x = ad.as_var(x)
+    out = x.value.max(axis=axis)
+    winners = x.value.argmax(axis=axis)
+    ad.record(winners)
+
+    def vjp(g):
+        buf = np.zeros_like(x.value)
+        np.put_along_axis(buf, np.expand_dims(winners, axis), np.expand_dims(g, axis), axis)
+        return (buf,)
+
+    return ad.node(out, (x,), vjp)
+
+
+def chained_aggregate(block, features, positions, centers, neighbors):
+    """Reference for ``aggregator.aggregate_batch``: the same block as a
+    chain of generic tape ops (gather, concat, three affine maps with ReLU
+    after the first two, max over neighbours, residual add)."""
+    features = ad.as_var(features)
+    local_feat = features[np.asarray(neighbors)]
+    local_pos = (positions[neighbors] - positions[centers][:, None, :]) / block.radius
+    h = ad.concat([local_feat, Var(local_pos)], axis=2)
+    for i, (w, b) in enumerate(block.layers):
+        h = ad.add(ad.matmul(h, w), b)
+        if i < 2:
+            h = ad.relu(h)
+    return ad.add(features[np.asarray(centers)], amax(h, axis=1))
 
 
 def early_expansion_pointwise(scene, p, config, cache):

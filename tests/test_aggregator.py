@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pciseg import aggregator, autodiff as ad
 from pciseg.aggregator import AggregatorBlock, aggregate_batch, ball_query, heads
 from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout
 from pciseg.pipeline import PipelineConfig, _candidate_encoder
+from pciseg.supervision import fd_gradient_check
+
+from conftest import chained_aggregate
 
 
 def ones_block(radius, q, width=1):
@@ -205,6 +211,101 @@ class TestPaStack:
         inverse[perm] = np.arange(15)
         out_p = aggregate_at(block, feats[perm], pts[perm], inverse[centers])
         assert np.allclose(out, out_p)
+
+
+def random_case(k, width=32, q=32, m=400, seed=0):
+    """A block, features, positions, centres and neighbour lists with
+    repeats (padding of short balls) and hand-placed duplicate entries."""
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        (rng.normal(size=(c_in, width)) / np.sqrt(c_in), rng.normal(size=width) * 0.3)
+        for c_in in (width + 3, width, width)
+    )
+    block = AggregatorBlock(0.3, q, layers)
+    pts = rng.random((m, 3)) * [2.0, 2.0, 0.5]
+    feats = rng.normal(size=(m, width))
+    centers = rng.choice(m, k, replace=k > m)
+    nbrs = ball_query(pts, pts[centers], block.radius, q, centers)
+    nbrs[::3, -2:] = nbrs[::3, :1]  # repeated neighbours beside the padding
+    return block, feats, pts, centers, nbrs
+
+
+def as_parameters(block):
+    return AggregatorBlock(
+        block.radius, block.num_neighbors, tuple((ad.parameter(w), ad.parameter(b)) for w, b in block.layers)
+    )
+
+
+class TestFusedAggregation:
+    """``aggregate_batch`` against the chain of generic tape ops it fuses."""
+
+    @pytest.mark.parametrize("k", [1, 5, 33, 192])
+    def test_inference_bytes_match_the_chain(self, k):
+        block, feats, pts, centers, nbrs = random_case(k)
+        assert np.any(nbrs[:, -1] == nbrs[:, 0]), "no padded or repeated neighbour list"
+        got, digest = ad.capture_signature(lambda: aggregate_batch(block, Var(feats), pts, centers, nbrs))
+        want, want_digest = ad.capture_signature(lambda: chained_aggregate(block, Var(feats), pts, centers, nbrs))
+        assert got.value.tobytes() == want.value.tobytes()
+        assert digest == want_digest
+        assert not got.requires_grad
+
+    @pytest.mark.parametrize("k", [1, 5, 33, 192])
+    def test_training_bytes_match_the_chain(self, k):
+        block, feats, pts, centers, nbrs = random_case(k, seed=k)
+        upstream = np.random.default_rng(k).normal(size=(k, feats.shape[1]))
+        grads = []
+        for aggregate in (aggregate_batch, chained_aggregate):
+            leaf, params = ad.parameter(feats), as_parameters(block)
+            out = aggregate(params, leaf, pts, centers, nbrs)
+            ad.backward(ad.vsum(ad.mul(out, upstream)))
+            grads.append([out.value, leaf.grad] + [v.grad for pair in params.layers for v in pair])
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, width, q", [(5, 4, 6), (33, 2, 3)])
+    def test_gradients_match_finite_differences(self, k, width, q):
+        block, feats, pts, centers, nbrs = random_case(k, width=width, q=q, m=40, seed=3)
+        params = {"f": feats} | {f"{kind}{i}": v for i, pair in enumerate(block.layers) for kind, v in zip("wb", pair)}
+
+        def loss(p):
+            layers = tuple((p[f"w{i}"], p[f"b{i}"]) for i in range(3))
+            out = aggregate_batch(AggregatorBlock(block.radius, q, layers), p["f"], pts, centers, nbrs)
+            return ad.vsum(ad.mul(out, out))
+
+        assert fd_gradient_check(loss, params, epsilon=1e-6, skip_nonsmooth=True) <= 1e-5
+
+    def test_signature_changes_when_a_relu_or_the_argmax_flips(self):
+        # Two neighbours at the centre, so each pre-activation is the
+        # neighbour's feature; identity second and third maps.
+        block = ones_block(radius=1.0, q=2)
+        pts = np.zeros((3, 3))
+
+        def digest(f1, f2):
+            feats = np.array([[0.0], [f1], [f2]])
+            return ad.capture_signature(lambda: aggregate_batch(block, feats, pts, np.array([0]), np.array([[1, 2]])))[1]
+
+        base = digest(2.0, 1.0)
+        assert digest(3.0, 0.5) == base  # same ReLU patterns, same argmax
+        assert digest(1.0, 2.0) != base  # the argmax flips
+        assert digest(2.0, -1.0) != base  # a ReLU input flips
+
+    def test_out_of_range_neighbours_rejected(self):
+        block = zero_block(0.5, 2, width=2)
+        with pytest.raises(ValueError, match="source rows"):
+            aggregate_batch(block, np.zeros((3, 2)), np.zeros((3, 3)), np.array([0]), np.array([[0, 3]]))
+
+    def test_inference_memory_stays_within_chunks(self):
+        # The chain held about 6.7 MB of (K, Q, ·) arrays for this call; the
+        # fused op holds one chunk's buffers (about 1.4 MB peak in all).
+        block, feats, pts, centers, nbrs = random_case(192)
+        features = Var(feats)
+        tracemalloc.start()
+        try:
+            aggregate_batch(block, features, pts, centers, nbrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"aggregate_batch peaked at {peak / 1e6:.1f} MB"
 
 
 def make_heads(d, c, hp, fill=0.0):

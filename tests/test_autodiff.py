@@ -7,6 +7,8 @@ from pciseg import autodiff as ad
 from pciseg.autodiff import Var
 from pciseg.supervision import fd_gradient_check
 
+from conftest import amax
+
 RNG = np.random.default_rng(42)
 
 
@@ -64,7 +66,7 @@ def test_minimum_maximum():
 def test_reductions_and_shaping():
     params = {"x": RNG.normal(size=(3, 5, 2))}
     check(
-        lambda p: ad.vsum(ad.amax(p["x"], axis=1))
+        lambda p: ad.vsum(amax(p["x"], axis=1))
         + ad.mean(p["x"], axis=0)[2, 1]
         + ad.vsum(ad.reshape(p["x"], (5, 6))[1:3]),
         params,
@@ -123,3 +125,24 @@ def test_maximum_tie_routes_to_first():
     ad.backward(out)
     assert a.grad == pytest.approx([1.0])
     assert b.grad == pytest.approx([0.0])
+
+
+@pytest.mark.parametrize(
+    "shape, idx",
+    [((6, 3), np.array([[0, -1], [2, 2], [5, 0]])), ((6,), np.array([4, 4, 1, -2, 4])), ((4, 2, 2), np.array([3, 0, 3]))],
+)
+def test_row_gather_gradient_matches_add_at(shape, idx):
+    x = ad.parameter(RNG.normal(size=shape))
+    g = RNG.normal(size=idx.shape + shape[1:])
+    ad.backward(ad.vsum(ad.mul(x[idx], g)))
+    want = np.zeros(shape)
+    np.add.at(want, idx, g)
+    assert x.grad.tobytes() == want.tobytes()
+
+
+def test_constant_operands_get_no_gradient():
+    w = ad.parameter(RNG.normal(size=(3, 2)))
+    x = Var(RNG.normal(size=(4, 3)))
+    for out in (ad.matmul(x, w), ad.mul(x[:, :2], w[:1])):
+        grads = out._vjp(np.ones(out.shape))
+        assert grads[0] is None and grads[1] is not None

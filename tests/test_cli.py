@@ -178,6 +178,13 @@ BAD_CONFIGS = [
     pytest.param("generate", "{bad", "not a readable JSON file", id="generate-unparsable"),
     pytest.param("generate", "[" * 100_000, "not a readable JSON file", id="generate-too-deep"),
     pytest.param("generate", '{"num_classes": 1}', "invalid GenConfig: num_classes must lie in", id="generate-refused"),
+    pytest.param(
+        "generate", '{"background_fraction": 1.5}', "invalid GenConfig: background_fraction", id="generate-all-background"
+    ),
+    pytest.param(
+        "generate", '{"background_fraction": -1}', "invalid GenConfig: background_fraction", id="generate-negative-background"
+    ),
+    pytest.param("generate", '{"room_size": [0, 0]}', "invalid GenConfig: room_size", id="generate-empty-room"),
     pytest.param("train", "[1, 2]", "a config must be a JSON object, got list", id="train-list"),
     pytest.param("train", '{"num_classes": 1}', "invalid PipelineConfig: need background", id="train-refused"),
     pytest.param("train", '{"layout_dims": []}', "invalid PipelineConfig: layout needs", id="train-empty-layout"),

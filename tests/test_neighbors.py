@@ -87,8 +87,8 @@ class TestEncoderNeighbors:
         base = np.random.default_rng(2).random((40, 3))
         positions = np.repeat(base, 12, axis=0)[np.random.default_rng(3).permutation(480)]
         assert_same_rows(positions)
-        # With 12 copies of each point, the 16th and the 24th (last) tree
-        # candidates are copies of the same second-nearest point.
+        # With 12 copies of each point, the 16th and the 17th (last, spare)
+        # tree candidates are copies of the same second-nearest point.
         assert scans() > 0
         assert scans(full=480) == 0
 
@@ -159,8 +159,8 @@ def test_neighbor_searches_stay_sparse_at_16k_points():
 
     The old chunked encoder scan built a 122 x 16384 x 3 float64 difference
     block (48 MB) per chunk and peaked at about 114 MB; the current one
-    holds (N, 24)-sized candidate arrays and the (N, 16, 3) neighbour
-    gathers, about 36 MB. The old dense ball query of 192 centres built a
+    holds (N, 17)-sized candidate arrays and the (16, N, 6) neighbour
+    gather, about 39 MB. The old dense ball query of 192 centres built a
     192 x 16384 x 3 block (75 MB); the pair query holds only in-radius
     pairs, under 1 MB. Bounds: 48 MB, the old difference chunk alone, and
     8 MB, a third of one dense 192 x 16384 float64 distance matrix.

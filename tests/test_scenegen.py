@@ -23,6 +23,27 @@ def small_config(**kwargs):
 
 
 class TestGenerator:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("background_fraction", 1.0, "background_fraction"),
+            ("background_fraction", 1.5, "background_fraction"),
+            ("background_fraction", -0.1, "background_fraction"),
+            ("background_fraction", float("nan"), "background_fraction"),
+            ("room_size", (0.0, 4.0), "room_size"),
+            ("room_size", (4.0, -1.0), "room_size"),
+            ("room_size", (4.0, float("inf")), "room_size"),
+            ("room_size", (4.0, float("nan")), "room_size"),
+            ("room_size", (4.0,), "room_size"),
+        ],
+    )
+    def test_bad_background_fraction_or_room_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            GenConfig(**{field: value})
+
+    def test_edge_background_fraction_and_room_accepted(self):
+        assert GenConfig(background_fraction=0.0, room_size=(4, 3.5)).background_fraction == 0.0
+
     def test_deterministic_by_seed(self):
         a = generate(small_config())
         b = generate(small_config())
