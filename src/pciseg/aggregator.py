@@ -99,8 +99,10 @@ class AggregatorBlock:
 
 
 # Centres per chunk of the aggregation: 32 centres of 32 neighbours keep a
-# chunk's (32, 32, 35) input and its activations, about 0.8 MB, in cache,
-# and one set of chunk buffers serves every chunk of a call.
+# chunk's (32, 32, 35) input and its activations, about 1 MB, in cache,
+# and one set of chunk buffers serves every chunk of a call. Timed at
+# K = 192 with one BLAS thread, chunks of 8 to 32 centres ran alike at
+# inference; 64 took about 15% longer and 96 about 40%.
 CHUNK_CENTERS = 32
 
 
@@ -198,7 +200,6 @@ def aggregate_batch(
             ad.record(bits)
 
     def vjp(g):
-        g = np.ascontiguousarray(g)
         # Row 0 of each gradient buffer carries a running sum into the next
         # chunk's reduction (see _continue_sum).
         gh = [np.empty((1 + chunk * q, d)) for _ in range(2)]

@@ -321,6 +321,7 @@ def scatter_rows(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarra
     width = math.prod(row_shape)
     flat = (np.asarray(index, dtype=np.intp).reshape(-1, 1) * width + np.arange(width)).ravel()
     sums = np.bincount(flat, weights=np.ravel(values), minlength=count * width)
+    # With nothing to count, bincount returns int64 even given weights.
     return sums.astype(np.float64, copy=False).reshape((count, *row_shape))
 
 
