@@ -23,11 +23,10 @@ import numpy as np
 from . import pipeline, scenegen
 from .evalmetrics import evaluate
 from .sampling import (
-    OccupancyState,
     fps,
     ia_fps_infer,
     instance_recall,
-    oracle_background,
+    oracle_foreground,
     oracle_mask_provider,
     split_budget,
 )
@@ -110,13 +109,12 @@ def cmd_recall_bench(args) -> int:
     for budget in budgets:
         recalls = []
         for scene in scenes:
-            state = OccupancyState(oracle_background(scene))
             if args.sampler == "fps":
                 idx = fps(scene.positions, min(budget, scene.num_points))
             else:
-                idx = ia_fps_infer(
-                    state, scene.positions, split_budget(budget), oracle_mask_provider(scene)
-                )
+                foreground = oracle_foreground(scene)
+                provider = oracle_mask_provider(scene)
+                idx = ia_fps_infer(foreground, scene.positions, split_budget(budget), provider)
             recalls.append(instance_recall(idx, scene))
         rows.append((budget, float(np.mean(recalls)), float(np.std(recalls))))
     writer = csv.writer(sys.stdout)

@@ -37,7 +37,7 @@ from .core import (
 # infer and scene_loss decode through this module-level name, which bench/spans.py rebinds.
 from .dynconv import KernelLayout, decode_mask_logits as _decode_mask_logits
 from .evalmetrics import average_precision
-from .sampling import OccupancyState, SampleBudget, fps, ia_fps_infer
+from .sampling import TAU, SampleBudget, fps, ia_fps_infer
 from .scenegen import read_exact
 from .supervision import (
     Assignment,
@@ -69,7 +69,7 @@ class PipelineConfig:
     """
 
     # foreground: 1 - P(background classes) > tau
-    tau: ClassVar[float] = 0.5
+    tau: ClassVar[float] = TAU
     background_classes: ClassVar[tuple[int, ...]] = (0,)
     nms_iou: ClassVar[float] = 0.2
     binarize_threshold: ClassVar[float] = BINARIZE_THRESHOLD
@@ -252,8 +252,7 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
 
 
 def _voxel_means(values: np.ndarray, vmap) -> np.ndarray:
-    sums = np.zeros((vmap.num_voxels, values.shape[1]))
-    np.add.at(sums, vmap.point_to_voxel, values)
+    sums = ad.scatter_rows(vmap.point_to_voxel, values, vmap.num_voxels)
     counts = np.bincount(vmap.point_to_voxel, minlength=vmap.num_voxels).astype(np.float64)
     return sums / counts[:, None]
 
@@ -303,6 +302,12 @@ def _forward_pointwise(scene: Scene, p: dict, config: PipelineConfig, cache: Enc
         idx = cache.vmap.point_to_voxel
         feats, sem, boxes, fmask = feats[idx], sem[idx], boxes[idx], fmask[idx]
     return feats, sem, boxes, fmask
+
+
+def _foreground(sem: Var) -> np.ndarray:
+    """Points whose predicted background probability passes 1 - P > tau."""
+    background = softmax(sem.value, axis=1)[:, list(PipelineConfig.background_classes)].sum(axis=1)
+    return (1.0 - background) > PipelineConfig.tau
 
 
 def _candidate_encoder(
@@ -397,16 +402,11 @@ def infer(
 
     feats, sem, point_boxes, fmask = _forward_pointwise(scene, p, config, None)
 
-    def stop(reason: str) -> list[Prediction]:
-        logger.debug("inference stopped early: %s", reason)
-        return []
-
     positions = scene.positions
-    background = softmax(sem.value, axis=1)[:, list(config.background_classes)].sum(axis=1)
-    state = OccupancyState(background, threshold=config.tau)
-    foreground = state.foreground()
+    foreground = _foreground(sem)
     if not foreground.any():
-        return stop("no foreground")
+        logger.debug("inference stopped early: no foreground")
+        return []
 
     stage1 = fps(positions, min(config.stage1_budget, int(foreground.sum())), candidate_filter=foreground)
     encode = _candidate_encoder(p, config, feats, positions, stage1)
@@ -433,10 +433,8 @@ def infer(
         chunks.append((cls_logits.value, boxes.value, quality.value, masks))
         return masks[:, stage1]
 
-    sub_state = OccupancyState(background[stage1], threshold=config.tau)
-    local_order = ia_fps_infer(sub_state, positions[stage1], config.sample_budget(), candidate_stage)
-    if local_order.size == 0:
-        return stop("sampling exhausted")
+    # Every stage-1 point is foreground, so the first chunk always picks.
+    local_order = ia_fps_infer(foreground[stage1], positions[stage1], config.sample_budget(), candidate_stage)
     decoded = sum(masks.shape[0] for *_, masks in chunks)
     if decoded < local_order.size:
         candidate_stage(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
@@ -450,11 +448,7 @@ def infer(
     predictions = []
     for idx in kept:
         soft = soft_masks[idx]
-        aligned = (
-            superpoint_align(soft, scene.superpoints)
-            if scene.superpoints is not None
-            else binarize(soft)
-        )
+        aligned = superpoint_align(soft, scene.superpoints)
         if not aligned.any():
             continue
         box_vec = boxes[idx]
@@ -510,8 +504,7 @@ def scene_loss(
     pt_terms = pointwise_terms(sem, point_boxes, scene)
 
     positions = scene.positions
-    background = softmax(sem.value, axis=1)[:, list(config.background_classes)].sum(axis=1)
-    foreground = (1.0 - background) > config.tau
+    foreground = _foreground(sem)
     if not foreground.any():
         # Degenerate early-training state: fall back to sampling everywhere.
         foreground = np.ones(scene.num_points, dtype=bool)

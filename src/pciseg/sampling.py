@@ -1,11 +1,11 @@
 """Farthest-point sampling and its instance-aware variants.
 
 The plain sampler greedily maximizes the minimum Euclidean distance to the
-points already selected. Instance-aware sampling restricts the eligible
-set: at training time to points unlikely to be background (``fps`` with
-a foreground ``candidate_filter``), at inference time additionally to
-points not yet claimed by the masks decoded for earlier candidates,
-refreshed chunk by chunk.
+points already selected. Instance-aware sampling draws only from the points
+its caller marks eligible, the probable foreground: at training time
+through ``fps``'s ``candidate_filter``, at inference time through
+``ia_fps_infer``, which also drops the points claimed by the masks decoded
+for earlier candidates, refreshed chunk by chunk.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Scene
+
+# A point is foreground while 1 - P(background) > TAU, and stays unclaimed
+# while 1 - m > TAU for every decoded soft mask value m on it.
+TAU = 0.5
 
 
 @dataclass(frozen=True)
@@ -34,43 +38,6 @@ class SampleBudget:
     @property
     def total(self) -> int:
         return sum(self.chunk_sizes)
-
-
-@dataclass
-class OccupancyState:
-    """Per-point background probability and the eligibility threshold.
-
-    A point stays eligible while every probability m tested against it,
-    background or a claimed soft mask, satisfies 1 - m > threshold, i.e. it
-    is neither probable background nor claimed by a decoded instance mask.
-    """
-
-    background_prob: np.ndarray
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        self.background_prob = np.asarray(self.background_prob, dtype=np.float64)
-        if self.background_prob.ndim != 1:
-            raise ValueError("background_prob must be 1-D")
-        if self.background_prob.min() < 0.0 or self.background_prob.max() > 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError("threshold must lie in (0, 1)")
-
-    def foreground(self) -> np.ndarray:
-        """Points passing the background test alone."""
-        return (1.0 - self.background_prob) > self.threshold
-
-    def available(self, claimed: Sequence[np.ndarray]) -> np.ndarray:
-        """Points passing the background test and every claimed-mask test."""
-        return self.foreground() & self.unclaimed(claimed)
-
-    def unclaimed(self, claimed: Sequence[np.ndarray]) -> np.ndarray:
-        """Points passing the claimed-mask tests, ignoring background."""
-        keep = np.ones_like(self.background_prob, dtype=bool)
-        for m in claimed:
-            keep &= (1.0 - m) > self.threshold
-        return keep
 
 
 class _MaxMinSampler:
@@ -172,41 +139,39 @@ def fps(
 
 
 def ia_fps_infer(
-    state: OccupancyState,
+    eligible: np.ndarray,
     positions: np.ndarray,
     budget: SampleBudget,
     mask_provider: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Chunked sampling with mask feedback between chunks.
 
-    Each chunk continues the max-min chain over the points that are neither
-    probable background nor claimed by any mask decoded for earlier chunks.
-    After a chunk completes, ``mask_provider`` maps its picked indices to
-    per-candidate soft masks over all points, which tighten the filter for
-    the following chunks. If the filtered set empties mid-chunk, remaining
-    slots are filled from still-unclaimed points with the background test
-    dropped; when nothing remains at all, sampling stops early.
+    Only the ``eligible`` points are sampled, mapped by index as ``fps``
+    maps its ``candidate_filter``. Each chunk continues the max-min chain
+    over the eligible points not yet claimed: after a chunk completes,
+    ``mask_provider`` maps its picked indices into ``positions`` to
+    per-candidate soft masks over all points, and a point stays unclaimed
+    while every mask value m on it satisfies 1 - m > ``TAU``. Sampling
+    stops early at the first chunk that finds nothing left to pick.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape[0] != state.background_prob.shape[0]:
-        raise ValueError("positions and occupancy state disagree on N")
-    claimed: list[np.ndarray] = []
-    sampler = _MaxMinSampler(positions)
-    order: list[int] = []
+    eligible = np.asarray(eligible, dtype=bool)
+    if eligible.shape != (positions.shape[0],):
+        raise ValueError("eligibility mask length mismatch")
+    idx = np.flatnonzero(eligible)
+    sampler = _MaxMinSampler(positions[idx])
+    unclaimed = np.ones(idx.size, dtype=bool)
     chunks = budget.chunk_sizes
     for t, size in enumerate(chunks):
-        picks = sampler.extend(state.available(claimed), size)
-        if len(picks) < size:
-            picks += sampler.extend(state.unclaimed(claimed), size - len(picks))
-        if not picks:
+        picks = idx[sampler.extend(unclaimed, size)]
+        if picks.size == 0:
             break
-        order.extend(picks)
         if t + 1 < len(chunks):
-            masks = np.asarray(mask_provider(np.asarray(picks, dtype=np.int64)), dtype=np.float64)
-            if masks.shape != (len(picks), positions.shape[0]):
+            masks = np.asarray(mask_provider(picks), dtype=np.float64)
+            if masks.shape != (picks.size, positions.shape[0]):
                 raise ValueError("mask provider returned wrong shape")
-            claimed.extend(masks)
-    return np.asarray(order, dtype=np.int64)
+            unclaimed &= ((1.0 - masks[:, idx]) > TAU).all(axis=0)
+    return idx[np.asarray(sampler.order, dtype=np.int64)]
 
 
 def instance_recall(candidate_indices: np.ndarray, scene: Scene) -> float:
@@ -221,9 +186,9 @@ def instance_recall(candidate_indices: np.ndarray, scene: Scene) -> float:
     return hit.size / scene.num_instances
 
 
-def oracle_background(scene: Scene, background_classes: Sequence[int] = (0,)) -> np.ndarray:
-    """Ground-truth background probability: 1 on background classes, else 0."""
-    return np.isin(scene.semantic_gt, np.asarray(background_classes)).astype(np.float64)
+def oracle_foreground(scene: Scene) -> np.ndarray:
+    """Ground-truth foreground: every point not on background class 0."""
+    return scene.semantic_gt != 0
 
 
 def oracle_mask_provider(scene: Scene) -> Callable[[np.ndarray], np.ndarray]:

@@ -30,6 +30,10 @@ PRED_VERSION = 1
 SCENARIOS = ("packed", "loose", "uniform")
 NOISE_SIGMA = 0.01  # Gaussian position jitter; packed instances sit up to 2 sigma apart
 SUPERPOINT_VOXEL = 0.1  # superpoints are the occupied cells of this voxel grid
+# Room sides in metres: the floor must fit two 0.3 m wall margins around the
+# widest object, a 0.8 m slab; the cap keeps the background area and the
+# voxel ids of every coordinate finite.
+MIN_ROOM_SIDE, MAX_ROOM_SIDE = 1.4, 1000.0
 
 # Object classes: 1 crate (cube-ish box), 2 ball, 3 drum (cylinder),
 # 4 slab (wide flat box). Background is class 0.
@@ -69,8 +73,8 @@ class GenConfig:
         if w.shape != (3,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("scenario weights must be three nonnegative values summing to 1")
         room = np.asarray(self.room_size, dtype=np.float64)
-        if room.shape != (2,) or not np.all(np.isfinite(room)) or np.any(room <= 0):
-            raise ValueError("room_size must be two positive, finite sides")
+        if room.shape != (2,) or not np.all((room >= MIN_ROOM_SIDE) & (room <= MAX_ROOM_SIDE)):
+            raise ValueError(f"room_size must be two sides in [{MIN_ROOM_SIDE}, {MAX_ROOM_SIDE}] m")
         if not 0.0 <= self.background_fraction < 1.0:
             raise ValueError("background_fraction must lie in [0, 1)")
 

@@ -190,13 +190,11 @@ class InstanceTargets:
 
     @classmethod
     def from_scene(cls, scene: Scene) -> "InstanceTargets":
-        masks = np.stack([scene.instance_mask(j) for j in range(scene.num_instances)])
-        classes = np.asarray(
-            [scene.instance_class(j) - 1 for j in range(scene.num_instances)], dtype=np.int64
-        )
-        boxes = np.stack(
-            [scene.instance_box(j).to_vector() for j in range(scene.num_instances)]
-        )
+        ids = range(scene.num_instances)
+        # A scene without instances gives (0, N) masks, (0,) classes and (0, 6) boxes.
+        masks = np.array([scene.instance_mask(j) for j in ids], dtype=bool).reshape(-1, scene.num_points)
+        classes = np.asarray([scene.instance_class(j) - 1 for j in ids], dtype=np.int64)
+        boxes = np.array([scene.instance_box(j).to_vector() for j in ids], dtype=np.float64).reshape(-1, 6)
         return cls(masks, classes, boxes)
 
 

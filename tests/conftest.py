@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from pciseg import autodiff as ad, pipeline
+from pciseg import autodiff as ad, pipeline, sampling
 from pciseg.aggregator import box_from_raw
 from pciseg.autodiff import Var
 from pciseg.core import Aabb, Scene
@@ -118,6 +118,38 @@ def early_expansion_pointwise(scene, p, config, cache):
     boxes = box_from_raw(pipeline._affine(feats, p, "point.box"))
     fmask = pipeline._affine(feats, p, "point.mask")
     return feats, sem, boxes, fmask
+
+
+def claimed_mask_ia_fps(background, positions, budget, mask_provider, threshold=0.5):
+    """Reference for ``sampling.ia_fps_infer`` under its earlier rule.
+
+    Every chunk re-tests each point against its background probability and
+    every mask claimed so far, over all N points; a chunk that runs short
+    is filled from the unclaimed points with the background test dropped.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    claimed = []
+
+    def unclaimed():
+        keep = np.ones(background.shape, dtype=bool)
+        for m in claimed:
+            keep &= (1.0 - m) > threshold
+        return keep
+
+    sampler = sampling._MaxMinSampler(positions)
+    order = []
+    chunks = budget.chunk_sizes
+    for t, size in enumerate(chunks):
+        picks = sampler.extend(((1.0 - background) > threshold) & unclaimed(), size)
+        if len(picks) < size:
+            picks += sampler.extend(unclaimed(), size - len(picks))
+        if not picks:
+            break
+        order.extend(picks)
+        if t + 1 < len(chunks):
+            claimed.extend(np.asarray(mask_provider(np.asarray(picks, dtype=np.int64)), dtype=np.float64))
+    return np.asarray(order, dtype=np.int64)
 
 
 def read_from_fifo(read, data, fifo):

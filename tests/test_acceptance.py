@@ -29,12 +29,11 @@ from pciseg.pipeline import (
     train,
 )
 from pciseg.sampling import (
-    OccupancyState,
     SampleBudget,
     fps,
     ia_fps_infer,
     instance_recall,
-    oracle_background,
+    oracle_foreground,
     oracle_mask_provider,
     split_budget,
 )
@@ -87,9 +86,8 @@ def test_criterion_2_sampling_recall_ordering():
         plain, aware = [], []
         for scene in scenes:
             plain.append(instance_recall(fps(scene.positions, budget), scene))
-            state = OccupancyState(oracle_background(scene))
             idx = ia_fps_infer(
-                state, scene.positions, split_budget(budget), oracle_mask_provider(scene)
+                oracle_foreground(scene), scene.positions, split_budget(budget), oracle_mask_provider(scene)
             )
             aware.append(instance_recall(idx, scene))
         means[budget] = (float(np.mean(aware)), float(np.mean(plain)))
@@ -98,9 +96,8 @@ def test_criterion_2_sampling_recall_ordering():
     # Oracle masks with per-candidate feedback cover every instance once the
     # budget reaches the instance count.
     for scene in scenes:
-        state = OccupancyState(oracle_background(scene))
         picks = ia_fps_infer(
-            state,
+            oracle_foreground(scene),
             scene.positions,
             SampleBudget((1,) * scene.num_instances),
             oracle_mask_provider(scene),

@@ -185,6 +185,10 @@ BAD_CONFIGS = [
         "generate", '{"background_fraction": -1}', "invalid GenConfig: background_fraction", id="generate-negative-background"
     ),
     pytest.param("generate", '{"room_size": [0, 0]}', "invalid GenConfig: room_size", id="generate-empty-room"),
+    pytest.param("generate", '{"room_size": [0.5, 0.5]}', "invalid GenConfig: room_size", id="generate-small-room"),
+    pytest.param("generate", '{"room_size": [1.0, 4.0]}', "invalid GenConfig: room_size", id="generate-narrow-room"),
+    pytest.param("generate", '{"room_size": [1e308, 1e308]}', "invalid GenConfig: room_size", id="generate-huge-room"),
+    pytest.param("generate", '{"room_size": [1e150, 1e150]}', "invalid GenConfig: room_size", id="generate-vast-room"),
     pytest.param("train", "[1, 2]", "a config must be a JSON object, got list", id="train-list"),
     pytest.param("train", '{"num_classes": 1}', "invalid PipelineConfig: need background", id="train-refused"),
     pytest.param("train", '{"layout_dims": []}', "invalid PipelineConfig: layout needs", id="train-empty-layout"),

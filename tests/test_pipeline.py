@@ -360,6 +360,21 @@ class TestTraining:
             with np.errstate(all="ignore"):
                 train(scenes, config, seed=2)
 
+    def test_scene_without_instances_trains(self):
+        rng = np.random.default_rng(4)
+        empty = toy_scene(rng.uniform(0.0, 2.0, size=(200, 3)), [0] * 200, [-1] * 200)
+        scenes = [empty] + generate(GenConfig(num_scenes=2, points_per_scene=256, seed=3))
+        config = tiny_config(epochs=2, batch_size=2)
+        model, history = train(scenes, config, seed=1)
+        assert len(history) == 2
+        assert all(np.isfinite(entry["total"]) for entry in history)
+        leaves = model.as_vars(trainable=True)
+        total, report = scene_loss(empty, leaves, config)
+        assert report.mask_loss == report.box_loss == report.ms_loss == 0.0  # nothing to match
+        ad.backward(total)
+        grads = [leaf.grad for leaf in leaves.values() if leaf.grad is not None]
+        assert grads and all(np.all(np.isfinite(g)) for g in grads)
+
     def test_rmsprop_clip_and_step(self):
         params = {"w": np.array([1.0, 1.0])}
         opt = RmsProp(params, lr=0.1, decay=0.5, eps=1e-8, clip=1.0)

@@ -4,17 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pciseg.sampling import (
-    OccupancyState,
+    TAU,
     SampleBudget,
     fps,
     ia_fps_infer,
     instance_recall,
-    oracle_background,
+    oracle_foreground,
     oracle_mask_provider,
     split_budget,
 )
 
-from conftest import toy_scene
+from conftest import claimed_mask_ia_fps, toy_scene
 
 
 def reference_fps(positions, budget, seed_index):
@@ -101,26 +101,22 @@ class TestIaFpsTrain:
 
     def test_all_foreground_equals_plain_fps(self):
         pts = line_points()
-        state = OccupancyState(np.zeros(10))
-        assert np.array_equal(fps(pts, 4, candidate_filter=state.foreground()), fps(pts, 4))
+        assert np.array_equal(fps(pts, 4, candidate_filter=np.ones(10, bool)), fps(pts, 4))
 
     def test_all_background_errors(self):
-        state = OccupancyState(np.ones(10))
         with pytest.raises(ValueError, match="budget"):
-            fps(line_points(), 1, candidate_filter=state.foreground())
+            fps(line_points(), 1, candidate_filter=np.zeros(10, bool))
 
     def test_filter_then_exhaust(self):
         background = np.full(10, 0.9)
         background[[1, 3, 6, 7]] = 0.4
-        state = OccupancyState(background)
-        out = fps(line_points(), 4, candidate_filter=state.foreground())
+        out = fps(line_points(), 4, candidate_filter=(1.0 - background) > TAU)
         assert sorted(out.tolist()) == [1, 3, 6, 7]
 
     def test_shortfall_returns_all_foreground(self):
         background = np.full(10, 0.9)
         background[[2, 5]] = 0.0
-        state = OccupancyState(background)
-        fg = state.foreground()
+        fg = (1.0 - background) > TAU
         out = fps(line_points(), min(8, int(fg.sum())), candidate_filter=fg)
         assert sorted(out.tolist()) == [2, 5]
         with pytest.raises(ValueError, match="budget too large"):
@@ -131,14 +127,13 @@ class TestIaFpsTrain:
     def test_output_within_foreground_and_distinct(self, seed, k):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(25, 3))
-        background = rng.uniform(size=25)
-        state = OccupancyState(background)
-        fg = np.flatnonzero(state.foreground())
+        foreground = (1.0 - rng.uniform(size=25)) > TAU
+        fg = np.flatnonzero(foreground)
         if fg.size == 0:
             with pytest.raises(ValueError):
-                fps(pts, min(k, fg.size), candidate_filter=state.foreground())
+                fps(pts, min(k, fg.size), candidate_filter=foreground)
             return
-        out = fps(pts, min(k, fg.size), candidate_filter=state.foreground())
+        out = fps(pts, min(k, fg.size), candidate_filter=foreground)
         assert len(set(out.tolist())) == len(out)
         assert set(out.tolist()) <= set(fg.tolist())
         assert len(out) == min(k, fg.size)
@@ -148,11 +143,11 @@ class TestIaFpsInfer:
     def test_zero_masks_match_single_shot(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(30, 3))
-        state = OccupancyState(np.zeros(30))
         provider = lambda idx: np.zeros((len(idx), 30))
-        chunked = ia_fps_infer(state, pts, SampleBudget((4, 3, 3)), provider)
-        single = fps(pts, 10, candidate_filter=OccupancyState(np.zeros(30)).foreground())
-        assert np.array_equal(chunked, single)
+        for eligible in (np.ones(30, bool), np.arange(30) % 3 != 0):
+            chunked = ia_fps_infer(eligible, pts, SampleBudget((4, 3, 3)), provider)
+            single = fps(pts, 10, candidate_filter=eligible)
+            assert np.array_equal(chunked, single)
 
     def test_claimed_cluster_excluded_from_next_chunk(self):
         rng = np.random.default_rng(1)
@@ -161,14 +156,13 @@ class TestIaFpsInfer:
         pts = np.vstack([left, right])
         left_mask = np.zeros(20)
         left_mask[:10] = 1.0
-        state = OccupancyState(np.zeros(20))
         chunk_log = []
 
         def provider(idx):
             chunk_log.append(idx.copy())
             return np.tile(left_mask, (len(idx), 1))
 
-        out = ia_fps_infer(state, pts, SampleBudget((5, 5)), provider)
+        out = ia_fps_infer(np.ones(20, bool), pts, SampleBudget((5, 5)), provider)
         assert len(out) == 10
         second_chunk = out[5:]
         assert np.all(second_chunk >= 10), "after the left half is claimed only right points remain"
@@ -176,28 +170,86 @@ class TestIaFpsInfer:
     def test_exhaustion_stops_early(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(100, 3))
-        state = OccupancyState(np.zeros(100))
         provider = lambda idx: np.zeros((len(idx), 100))
-        out = ia_fps_infer(state, pts, SampleBudget((192, 128, 64)), provider)
+        out = ia_fps_infer(np.ones(100, bool), pts, SampleBudget((192, 128, 64)), provider)
         assert len(out) == 100
         assert sorted(out.tolist()) == list(range(100))
 
-    def test_background_fallback_fills_remaining(self):
-        # 4 foreground points, chunk wants 6: the last two come from the
-        # unclaimed background once the filtered set empties.
+    def test_ineligible_points_never_fill_a_chunk(self):
+        # 4 eligible points, the first chunk wants 6: IA-FPS returns exactly
+        # those 4 and stops, without calling the provider for another chunk.
         pts = line_points(8)
-        background = np.zeros(8)
-        background[4:] = 1.0
-        state = OccupancyState(background)
-        out = ia_fps_infer(state, pts, SampleBudget((6,)), lambda idx: np.zeros((len(idx), 8)))
-        assert len(out) == 6
-        assert set(out[:4].tolist()) == {0, 1, 2, 3}
+        calls = []
+
+        def provider(idx):
+            calls.append(idx.tolist())
+            return np.zeros((len(idx), 8))
+
+        out = ia_fps_infer(np.arange(8) < 4, pts, SampleBudget((6, 6)), provider)
+        assert sorted(out.tolist()) == [0, 1, 2, 3]
+        assert calls == [out.tolist()]
+
+    def test_provider_gets_indices_into_positions(self):
+        pts = line_points(10)
+        eligible = np.zeros(10, bool)
+        eligible[[2, 5, 9]] = True
+        calls = []
+
+        def provider(idx):
+            calls.append(idx.tolist())
+            return np.zeros((len(idx), 10))
+
+        out = ia_fps_infer(eligible, pts, SampleBudget((2, 1)), provider)
+        assert sorted(out.tolist()) == [2, 5, 9]
+        assert calls == [out[:2].tolist()]
+
+    def test_mask_shape_and_eligibility_length_checked(self):
+        pts = line_points(6)
+        with pytest.raises(ValueError, match="length"):
+            ia_fps_infer(np.ones(5, bool), pts, SampleBudget((2,)), lambda idx: np.zeros((len(idx), 6)))
+        with pytest.raises(ValueError, match="shape"):
+            ia_fps_infer(np.ones(6, bool), pts, SampleBudget((2, 2)), lambda idx: np.zeros((len(idx), 5)))
+
+    def test_claim_test_is_one_minus_m_above_tau(self):
+        # TAU and the float just below it both claim a point, since 1 - m
+        # rounds to 0.5 for both; a test written m < TAU would keep point 2.
+        pts = line_points(4)
+        mask = np.array([0.0, TAU, np.nextafter(TAU, 0.0), 0.25])
+        out = ia_fps_infer(np.ones(4, bool), pts, SampleBudget((1, 3)), lambda idx: np.tile(mask, (len(idx), 1)))
+        assert sorted(out[1:].tolist()) == [0, 3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_claimed_mask_rule_on_foreground(self, data):
+        # The earlier rule re-tested background and every claimed mask each
+        # chunk and filled short chunks from unclaimed background; its picks
+        # on the foreground are the new picks, in the same order.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 40))
+        chunks = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
+        levels = np.array([0.0, np.nextafter(TAU, 0.0), TAU, np.nextafter(TAU, 1.0), 1.0])
+
+        def probabilities(shape):
+            # A mix of uniform values and the values at and around the threshold.
+            exact = rng.uniform(size=shape) < 0.3
+            return np.where(exact, levels[rng.integers(0, levels.size, size=shape)], rng.uniform(size=shape))
+
+        background = probabilities(n)
+        # Each point's soft mask is fixed, so both rules see the same mask for a pick.
+        table = probabilities((n, n)) * (rng.uniform(size=(n, 1)) < 0.8)
+        provider = lambda idx: table[idx]
+        budget = SampleBudget(tuple(chunks))
+        foreground = (1.0 - background) > TAU
+        old = claimed_mask_ia_fps(background, pts, budget, provider)
+        new = ia_fps_infer(foreground, pts, budget, provider)
+        assert new.tolist() == [i for i in old.tolist() if foreground[i]]
 
     def test_oracle_masks_reach_full_recall(self, two_cluster_scene):
         scene = two_cluster_scene
-        state = OccupancyState(oracle_background(scene))
         budget = SampleBudget((1,) * scene.num_instances)
-        out = ia_fps_infer(state, scene.positions, budget, oracle_mask_provider(scene))
+        out = ia_fps_infer(oracle_foreground(scene), scene.positions, budget, oracle_mask_provider(scene))
         assert instance_recall(out, scene) == 1.0
 
 
@@ -210,6 +262,10 @@ class TestRecall:
 
     def test_single_instance_covered(self, two_cluster_scene):
         assert instance_recall(np.array([0, 1, 2]), two_cluster_scene) == 0.5
+
+    def test_oracle_foreground_is_every_non_background_point(self):
+        scene = toy_scene(np.zeros((4, 3)), [0, 1, 0, 3], [-1, 0, -1, 1])
+        assert oracle_foreground(scene).tolist() == [False, True, False, True]
 
     def test_no_instances_errors(self):
         scene = toy_scene([[0, 0, 0]], [0], [-1])
@@ -226,9 +282,8 @@ class TestRecallOrdering:
             plain, aware = [], []
             for scene in scenes:
                 plain.append(instance_recall(fps(scene.positions, budget), scene))
-                state = OccupancyState(oracle_background(scene))
                 idx = ia_fps_infer(
-                    state, scene.positions, split_budget(budget), oracle_mask_provider(scene)
+                    oracle_foreground(scene), scene.positions, split_budget(budget), oracle_mask_provider(scene)
                 )
                 aware.append(instance_recall(idx, scene))
             assert np.mean(aware) >= np.mean(plain)

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ class TestGenerator:
             ("room_size", (4.0, float("inf")), "room_size"),
             ("room_size", (4.0, float("nan")), "room_size"),
             ("room_size", (4.0,), "room_size"),
+            # Too small for the wall margins and the widest object, or so
+            # large that the background area or the voxel ids overflow.
+            ("room_size", (0.5, 0.5), "room_size"),
+            ("room_size", (1.0, 4.0), "room_size"),
+            ("room_size", (4.0, 1.399), "room_size"),
+            ("room_size", (1000.5, 4.0), "room_size"),
+            ("room_size", (1e150, 1e150), "room_size"),
+            ("room_size", (1e308, 1e308), "room_size"),
         ],
     )
     def test_bad_background_fraction_or_room_rejected(self, field, value, message):
@@ -43,6 +52,16 @@ class TestGenerator:
 
     def test_edge_background_fraction_and_room_accepted(self):
         assert GenConfig(background_fraction=0.0, room_size=(4, 3.5)).background_fraction == 0.0
+
+    @pytest.mark.parametrize("room", [(1.4, 1.4), (1000.0, 1000.0), (1.4, 1000.0)])
+    def test_extreme_rooms_generate(self, room):
+        # Scenes that cannot be placed are skipped; nothing may raise or warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenes = generate(small_config(room_size=room, num_scenes=2, points_per_scene=256))
+        for scene in scenes:
+            assert np.all(np.isfinite(scene.positions))
+            assert scene.superpoints.min() >= 0
 
     def test_deterministic_by_seed(self):
         a = generate(small_config())

@@ -369,6 +369,13 @@ class TestInstanceTargets:
         assert targets.classes.tolist() == [0, 0]  # semantic 1 -> column 0
         assert targets.boxes.shape == (2, 6)
 
+    def test_scene_without_instances(self):
+        scene = toy_scene(np.zeros((5, 3)), [0] * 5, [-1] * 5)
+        targets = InstanceTargets.from_scene(scene)
+        assert targets.masks.shape == (0, 5) and targets.masks.dtype == bool
+        assert targets.classes.shape == (0,) and targets.classes.dtype == np.int64
+        assert targets.boxes.shape == (0, 6) and targets.boxes.dtype == np.float64
+
     def test_terms_report_matches_instance_loss(self, two_cluster_scene):
         rng = np.random.default_rng(2)
         targets = InstanceTargets.from_scene(two_cluster_scene)
