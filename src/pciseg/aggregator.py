@@ -143,13 +143,19 @@ def aggregate_batch(
     affine maps, max), so outputs and gradients equal its bytes. At
     inference no activation is kept. When a parent requires a gradient, the
     chunks write into full (K, Q, ·) input and hidden arrays and the argmax
-    per (centre, channel) is kept for the vjp. The vjp walks the chunks in
-    ascending order: g goes to the argmax rows, each bias and weight
-    gradient continues one running sum, and the neighbour rows' feature
-    gradients are scattered by one :func:`autodiff.scatter_rows` at the
-    end. While a branch signature is captured, both ReLU patterns and the
-    argmax are recorded as ``autodiff.relu`` and an axis max would record
-    them. The residual ``features[centers]`` stays a tape getitem and add.
+    per (centre, channel) is kept for the vjp. The vjp walks only the
+    centres whose row of g has a non-zero entry (block 2 reads only some
+    block-1 rows), in ascending chunks of ``CHUNK_CENTERS`` gathered by
+    index: g goes to the argmax rows, each bias and weight
+    gradient continues one running sum, and the walked neighbour rows'
+    feature gradients are scattered by one :func:`autodiff.scatter_rows`
+    at the end. With finite activations and weights a zero row adds only
+    exact zeros to sums that start at +0.0, so skipping it changes no byte.
+    When no row is live every gradient is zeros, and at K = 0 the layers
+    get None. At D = 1 every centre is walked (see the vjp). While a branch
+    signature is captured, both ReLU patterns and the argmax are recorded
+    as ``autodiff.relu`` and an axis max would record them. The residual
+    ``features[centers]`` stays a tape getitem and add.
     """
     positions = np.asarray(positions, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.int64)
@@ -200,21 +206,27 @@ def aggregate_batch(
             ad.record(bits)
 
     def vjp(g):
+        # At D = 1 numpy sums the (rows, 1) gradient parts pairwise, not row
+        # by row, so dropping a zero row would regroup the other terms:
+        # every centre is walked there.
+        live = np.flatnonzero(g.any(axis=1)) if d > 1 else np.arange(k_count)
+        if k_count and not live.size:
+            return (np.zeros((m, d)), *(np.zeros(t.shape) for t in layers))
         # Row 0 of each gradient buffer carries a running sum into the next
         # chunk's reduction (see _continue_sum).
         gh = [np.empty((1 + chunk * q, d)) for _ in range(2)]
         gx = np.empty((chunk, q, d + 3))
         gw = [np.empty((1 + chunk, *w.shape)) for w in weights]
-        g_rows = np.empty((k_count, q, d))
+        g_rows = np.empty((live.size, q, d))
         bias_sums, weight_sums = [None] * 3, [None] * 3
-        for start in range(0, k_count, CHUNK_CENTERS):
-            stop = min(start + CHUNK_CENTERS, k_count)
-            c = stop - start
-            acts = [x_all[start:stop], hidden[0][start:stop], hidden[1][start:stop]]
+        for start in range(0, live.size, CHUNK_CENTERS):
+            rows = live[start : start + CHUNK_CENTERS]
+            c = rows.size
+            acts = [x_all[rows], hidden[0][rows], hidden[1][rows]]
             grads = [buf[: 1 + c * q] for buf in gh]
             out_rows = grads[0][1:].reshape(c, q, d)
             out_rows.fill(0.0)
-            np.put_along_axis(out_rows, winners[start:stop, None, :], g[start:stop, None, :], axis=1)
+            np.put_along_axis(out_rows, winners[rows, None, :], g[rows, None, :], axis=1)
             for layer in (2, 1, 0):
                 parts = grads[layer % 2]
                 g_out = parts[1:].reshape(c, q, d)
@@ -226,9 +238,9 @@ def aggregate_batch(
                 weight_sums[layer] = _continue_sum(weight_sums[layer], w_parts)
                 g_in = gx[:c] if layer == 0 else grads[(layer + 1) % 2][1:].reshape(c, q, d)
                 np.matmul(g_out, weights[layer].T, out=g_in)
-            g_rows[start:stop] = gx[:c, :, :d]
+            g_rows[start : start + c] = gx[:c, :, :d]
         layer_grads = (s for pair in zip(weight_sums, bias_sums) for s in pair)  # None when K = 0
-        return (ad.scatter_rows(neighbors, g_rows, m), *layer_grads)
+        return (ad.scatter_rows(neighbors[live], g_rows, m), *layer_grads)
 
     return ad.add(features[centers], ad.node(pooled, parents, vjp))
 

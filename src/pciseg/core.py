@@ -242,13 +242,18 @@ def voxelize(scene: Scene, voxel_size: float = 0.02) -> VoxelMap:
 
     Cell index per axis is floor(position / voxel_size); occupied cells are
     numbered in lexicographic (x, y, z) order so the mapping is deterministic
-    across runs and point orderings of the same coordinates.
+    across runs and point orderings of the same coordinates. A cell index
+    that is not finite or lies outside the int64 range is refused.
     """
     if voxel_size <= 0:
         raise ValueError("voxel size must be positive")
     if not np.all(np.isfinite(scene.positions)):
         raise ValueError("positions must be finite")
-    cells = np.floor(scene.positions / voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        cells = np.floor(scene.positions / voxel_size)
+    if not np.all((cells >= -(2.0**63)) & (cells < 2.0**63)):  # False for inf and NaN too
+        raise ValueError(f"cell indices of voxel size {voxel_size:g} leave the int64 range")
+    cells = cells.astype(np.int64)
     _, inverse = np.unique(cells, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     return VoxelMap(voxel_size, inverse, int(inverse.max()) + 1)

@@ -177,10 +177,18 @@ def decode_mask_logits(
     buffers of its own, which run on as many threads; every row keeps the
     same arithmetic, so the logits do not depend on the split.
 
-    The vjp recomputes each candidate's activations rather than keeping
-    them on the tape, and returns the gradients of ``fmask``,
-    ``point_boxes``, ``cand_boxes`` and ``kernels``; it runs on one thread,
-    so its sums over candidates run in ascending k. ``positions`` and
+    The vjp returns the gradients of ``fmask``, ``point_boxes``,
+    ``cand_boxes`` and ``kernels``. It walks only the candidates whose row
+    of the upstream gradient has a non-zero entry (in training the mask
+    losses read only the matched candidates' logits), recomputing each
+    one's activations rather than keeping them on the tape. With finite
+    activations and kernels a zero row adds only exact zeros, and every sum
+    over candidates starts at +0.0, so skipping it changes no byte; a
+    skipped candidate's kernel and box gradients stay the zeros they start
+    as. At K = 1 or N = 1 a sum starts at -0.0 instead (see
+    ``_sum_start``) and would keep a zero row's signed zeros, so every row
+    is walked there. The vjp runs on one thread, so its sums over
+    candidates run in ascending k. ``positions`` and
     ``cand_positions`` are constants. While a branch signature is
     captured, each candidate records the signs of its box differences and
     every ReLU pattern, in ascending k, as ``autodiff.absolute`` and
@@ -251,7 +259,10 @@ def decode_mask_logits(
         g_cand_boxes = np.zeros((k_count, BOX_DIMS))
         g_kernels = np.zeros(kernels.shape)
         acts, diff = buffers()
-        for k in range(k_count):
+        # At K = 1 or N = 1 a sum above starts at -0.0 and would pass a zero
+        # row's signed zeros through, so there every row is walked.
+        rows = np.flatnonzero(g.any(axis=1)) if k_count > 1 and n > 1 else range(k_count)
+        for k in rows:
             run(k, acts, diff)
             kernel, g_kernel = kernels.value[k], g_kernels[k]
             gh = g[k][:, None]

@@ -105,6 +105,85 @@ def chained_aggregate(block, features, positions, centers, neighbors):
     return ad.add(features[np.asarray(centers)], amax(h, axis=1))
 
 
+# Kinds of upstream gradient rows for the zero-row skips of the fused vjps.
+ROW_KINDS = ("live", "sparse", "+0", "-0", "signed zeros")
+
+
+def upstream_with_zero_rows(kinds, width, seed):
+    """A (len(kinds), width) upstream gradient, one row per kind: "live"
+    normal values, "sparse" normal values with about half the entries
+    zeros of random sign, "+0" and "-0" rows, and "signed zeros" rows of
+    zeros of random sign."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(len(kinds), width))
+    zeros = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
+    for k, kind in enumerate(kinds):
+        if kind == "sparse":
+            g[k] = np.where(rng.random(width) < 0.5, zeros[k], g[k])
+        elif kind == "signed zeros":
+            g[k] = zeros[k]
+        elif kind != "live":
+            g[k] = float(kind)
+    return g
+
+
+def full_walk_aggregate_grads(block, features, positions, centers, neighbors, g):
+    """Reference for the vjp of ``aggregator.aggregate_batch``'s fused op
+    as it was before it skipped zero rows of ``g``: every centre is walked,
+    here in one batch (the op's chunked sums add the same terms in the same
+    order). Returns the gradients of the features and of the six layer
+    arrays, (w0, b0, w1, b1, w2, b2)."""
+    m, d = features.shape
+    offsets = (positions[neighbors] - positions[centers][:, None, :]) / block.radius
+    acts = [np.concatenate([features[neighbors], offsets], axis=2)]
+    for layer, (w, b) in enumerate(block.layers):
+        h = acts[-1] @ w + b
+        acts.append(np.maximum(h, 0.0) if layer < 2 else h)
+    g_out = np.zeros(acts[3].shape)
+    np.put_along_axis(g_out, acts[3].argmax(axis=1)[:, None, :], g[:, None, :], axis=1)
+    layer_grads = []
+    for layer in (2, 1, 0):
+        if layer < 2:
+            g_out = g_out * (acts[layer + 1] > 0.0)
+        weight_grad = (np.swapaxes(acts[layer], 1, 2) @ g_out).sum(axis=0)
+        layer_grads = [weight_grad, g_out.reshape(-1, d).sum(axis=0), *layer_grads]
+        g_out = g_out @ block.layers[layer][0].T
+    return (ad.scatter_rows(neighbors, g_out[..., :d], m), *layer_grads)
+
+
+def full_walk_decoder_grads(fmask, positions, point_boxes, cand_positions, cand_boxes, kernels, layout, geo_cue, g):
+    """Reference for the vjp of ``dynconv.decode_mask_logits`` as it was
+    before it skipped zero rows of ``g``: every candidate is recomputed and
+    back-propagated, in ascending k. Takes arrays; returns the gradients of
+    ``fmask``, ``point_boxes``, ``cand_boxes`` and ``kernels``."""
+    k_count, n, mask_dim = cand_positions.shape[0], positions.shape[0], fmask.shape[1]
+    g_fmask = np.full((n, mask_dim), -0.0 if k_count == 1 else 0.0)
+    g_point_boxes = np.full((n, 6), -0.0 if k_count == 1 else 0.0)
+    g_cand_boxes = np.zeros((k_count, 6))
+    g_kernels = np.zeros(kernels.shape)
+    specs = layout.slices()
+    for k in range(k_count):
+        diff = point_boxes - cand_boxes[k]
+        geo = np.abs(diff) if geo_cue == "on" else np.zeros_like(diff)
+        acts = [np.concatenate([fmask, positions - cand_positions[k], geo], axis=1)]
+        for w, b, shape in specs:
+            h = acts[-1] @ kernels[k][w].reshape(shape)
+            acts.append(h if b is None else np.maximum(h + kernels[k][b], 0.0))
+        gh = g[k][:, None]
+        for layer in reversed(range(len(specs))):
+            w, b, shape = specs[layer]
+            if b is not None:
+                gh = gh * (acts[layer + 1] > 0.0)
+                g_kernels[k][b] += gh.sum(axis=0)
+            g_kernels[k][w] += (acts[layer].T @ gh).ravel()
+            gh = gh @ kernels[k][w].reshape(shape).T
+        g_fmask += gh[:, :mask_dim]
+        g_geo = gh[:, mask_dim + 3 :] * (1.0 if geo_cue == "on" else 0.0) * np.sign(diff)
+        g_point_boxes += g_geo
+        g_cand_boxes[k] = (-g_geo).sum(axis=0, initial=-0.0 if n == 1 else 0.0)
+    return g_fmask, g_point_boxes, g_cand_boxes, g_kernels
+
+
 def early_expansion_pointwise(scene, p, config, cache):
     """Reference for ``pipeline._forward_pointwise`` with the other voxel
     expansion order: in voxel mode the encoder's voxel rows are gathered to

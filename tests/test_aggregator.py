@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pciseg import aggregator, autodiff as ad
 from pciseg.aggregator import AggregatorBlock, aggregate_batch, ball_query, heads
@@ -10,7 +12,7 @@ from pciseg.dynconv import KernelLayout
 from pciseg.pipeline import PipelineConfig, _candidate_encoder
 from pciseg.supervision import fd_gradient_check
 
-from conftest import chained_aggregate
+from conftest import ROW_KINDS, chained_aggregate, full_walk_aggregate_grads, upstream_with_zero_rows
 
 
 def ones_block(radius, q, width=1):
@@ -306,6 +308,61 @@ class TestFusedAggregation:
         finally:
             tracemalloc.stop()
         assert peak < 3e6, f"aggregate_batch peaked at {peak / 1e6:.1f} MB"
+
+
+def fused_vjp(block, feats, pts, centers, nbrs):
+    """The vjp of the fused op inside ``aggregate_batch`` (the residual
+    add's second parent), taped with every layer a parameter."""
+    out = aggregate_batch(as_parameters(block), ad.parameter(feats), pts, centers, nbrs)
+    return out._parents[1]._vjp
+
+
+class TestZeroRowSkip:
+    """The vjp walks only the centres whose upstream gradient row has a
+    non-zero entry; every gradient keeps the bytes of the full walk
+    (``conftest.full_walk_aggregate_grads``), signed zeros included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=2 * aggregator.CHUNK_CENTERS + 5),
+        width=st.integers(1, 4),
+        q=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_equal_the_full_walk(self, kinds, width, q, seed):
+        if width == 1:
+            # numpy sums (rows, 1) parts pairwise, so the oracle's one-batch
+            # sums equal the op's chunk-by-chunk sums only within one chunk.
+            kinds = kinds[: aggregator.CHUNK_CENTERS]
+        k, m = len(kinds), 12
+        rng = np.random.default_rng(seed)
+        layers = tuple((rng.normal(size=(c_in, width)), rng.normal(size=width)) for c_in in (width + 3, width, width))
+        block = AggregatorBlock(0.5, q, layers)
+        feats, pts = rng.normal(size=(m, width)), rng.random((m, 3))
+        centers, nbrs = rng.integers(0, m, k), rng.integers(0, m, (k, q))
+        g = upstream_with_zero_rows(kinds, width, seed)
+        got = fused_vjp(block, feats, pts, centers, nbrs)(g)
+        want = full_walk_aggregate_grads(block, feats, pts, centers, nbrs, g)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), i
+            assert a.tobytes() == b.tobytes(), i
+
+    @pytest.mark.parametrize("sign", [0.0, -0.0])
+    def test_all_zero_gradient_gives_zero_arrays(self, sign):
+        block, feats, pts, centers, nbrs = random_case(40, width=4, q=3, m=40)
+        grads = fused_vjp(block, feats, pts, centers, nbrs)(np.full((40, 4), sign))
+        shapes = [feats.shape] + [v.shape for pair in block.layers for v in pair]
+        assert len(grads) == len(shapes)
+        for grad, shape in zip(grads, shapes):
+            assert grad is not None and grad.shape == shape
+            assert not grad.any() and not np.signbit(grad).any()
+
+    def test_no_centres_give_no_layer_gradients(self):
+        block, feats, pts, _, _ = random_case(1, width=4, q=3, m=40)
+        centers, nbrs = np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+        grads = fused_vjp(block, feats, pts, centers, nbrs)(np.zeros((0, 4)))
+        assert np.array_equal(grads[0], np.zeros(feats.shape))
+        assert all(grad is None for grad in grads[1:])
 
 
 def make_heads(d, c, hp, fill=0.0):

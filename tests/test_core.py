@@ -248,6 +248,29 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             voxelize(scene, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x,voxel_size",
+        [
+            ([0.0, 1e18, 2e18, 5e18], 0.05),  # cells 2e19 and up: the cast merged the far points
+            ([0.0, -1e18], 0.05),
+            ([0.0, 1e308], 0.02),  # the quotient overflows to inf
+        ],
+    )
+    def test_cell_index_outside_int64_refused(self, x, voxel_size):
+        scene = toy_scene([[v, 0.0, 0.0] for v in x], [1] * len(x), [0] * len(x))
+        with pytest.raises(ValueError, match="int64"):
+            voxelize(scene, voxel_size)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cell_index_near_int64_limit_voxelizes(self):
+        # Cells of about ±8e18 and exactly -2**63 still fit an int64.
+        x = [0.0, 4e17, -4e17, -(2.0**63) * 0.05, 4e17 + 1e3]
+        scene = toy_scene([[v, 0.0, 0.0] for v in x], [1] * 5, [0] * 5)
+        vm = voxelize(scene, 0.05)
+        assert vm.num_voxels == 5
+        assert vm.point_to_voxel.tolist() == [2, 3, 1, 0, 4]
+
 
 def late_rows(scene, voxel_size):
     """Per-point (features, semantic logits, boxes, mask features) of a

@@ -16,6 +16,8 @@ from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout, decode_mask_logits
 from pciseg.supervision import fd_gradient_check
 
+from conftest import ROW_KINDS, full_walk_decoder_grads, upstream_with_zero_rows
+
 # Published parameter counts for the decoder layer ablation; the flat-kernel
 # slicing must reproduce them exactly (bias on every layer except the last).
 KNOWN_COUNTS = {
@@ -385,6 +387,64 @@ class TestFusedDecoder:
             tracemalloc.stop()
         assert logits.shape == (k, n)
         assert peak < 16e6, f"decoding peaked at {peak / 1e6:.1f} MB"
+
+
+class ReadsRows(np.ndarray):
+    """Kernels that note every candidate row read from them."""
+
+    def __getitem__(self, k):
+        self.rows.append(int(k))
+        return np.asarray(self)[k]
+
+
+class TestZeroRowSkip:
+    """The vjp walks only the candidates whose upstream gradient row has a
+    non-zero entry, and every gradient keeps the bytes of the full walk
+    (``conftest.full_walk_decoder_grads``), signed zeros included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+        n=st.sampled_from([1, 2, 7]),
+        dims=st.sampled_from([(13, 1), (13, 4, 1), (13, 3, 2, 1)]),
+        geo_cue=st.sampled_from(["on", "zero"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_equal_the_full_walk(self, kinds, n, dims, geo_cue, seed):
+        values, positions, cand_positions, layout = decoder_case(len(kinds), n, dims, seed)
+        g = upstream_with_zero_rows(kinds, n, seed)
+        p = {name: ad.parameter(v) for name, v in values.items()}
+        got = decode(decode_mask_logits, p, positions, cand_positions, layout, geo_cue)._vjp(g)
+        want = full_walk_decoder_grads(**values, positions=positions, cand_positions=cand_positions,
+                                       layout=layout, geo_cue=geo_cue, g=g)
+        for name, a, b in zip(values, got, want):
+            assert np.array_equal(a, b), name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("n, walked", [(37, [1, 4]), (1, [0, 1, 2, 3, 4, 5])])
+    def test_vjp_reads_only_live_kernel_rows(self, n, walked):
+        values, positions, cand_positions, layout = decoder_case(6, n, (13, 8, 1))
+        p = {name: ad.parameter(v) for name, v in values.items()}
+        logits = decode(decode_mask_logits, p, positions, cand_positions, layout, "on")
+        tracked = p["kernels"].value.view(ReadsRows)
+        tracked.rows = []
+        p["kernels"].value = tracked
+        g = upstream_with_zero_rows(["+0", "live", "-0", "signed zeros", "sparse", "+0"], n, 0)
+        if n == 1:  # at N = 1 a sparse row may be all zeros; every row is walked regardless
+            g[4] = 1.0
+        g_kernels = logits._vjp(g)[3]
+        assert sorted(set(tracked.rows)) == walked
+        assert tracked.rows == sorted(tracked.rows), "candidates walked out of order"
+        skipped = [k for k in range(6) if k not in walked]
+        assert not np.signbit(g_kernels[skipped]).any() and not g_kernels[skipped].any()
+
+    def test_all_zero_gradient_gives_zero_arrays(self):
+        values, positions, cand_positions, layout = decoder_case(4, 9, (13, 8, 1))
+        p = {name: ad.parameter(v) for name, v in values.items()}
+        logits = decode(decode_mask_logits, p, positions, cand_positions, layout, "on")
+        for grad, name in zip(logits._vjp(np.full((4, 9), -0.0)), values):
+            assert grad.shape == values[name].shape
+            assert not grad.any() and not np.signbit(grad).any(), name
 
 
 def decode_with_grads(k, n, geo_cue):
