@@ -201,16 +201,22 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Intersection-over-union of binary masks; 1 where both are empty.
 
     Two (N,) masks give a float; stacks of shape (P, N) and (G, N) give the
-    (P, G) matrix. The counts come from a float64 matmul of 0/1 values,
-    which is exact for N < 2**53, so every entry equals the pairwise value.
+    (P, G) matrix. The intersections come from one matmul of 0/1 values:
+    float32 while N < 2**24, where every partial count is an integer that
+    float32 holds exactly, and float64 (exact for N < 2**53) from there on.
+    Counts and quotients are float64, so every entry equals the pairwise
+    value. Each stack is converted once, and only once when ``b`` is ``a``.
     """
-    a = np.asarray(a).astype(bool).astype(np.float64)
-    b = np.asarray(b).astype(bool).astype(np.float64)
+    same = b is a
+    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
     if a.ndim != b.ndim or a.ndim not in (1, 2) or a.shape[-1] != b.shape[-1]:
         raise ValueError("masks must be two 1-D masks or two 2-D stacks of equal length")
     a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
-    inter = a2 @ b2.T
-    union = a2.sum(axis=1)[:, None] + b2.sum(axis=1)[None, :] - inter
+    counts = np.float32 if a2.shape[1] < 1 << 24 else np.float64
+    a01 = a2.astype(counts)
+    b01 = a01 if same else b2.astype(counts)
+    inter = (a01 @ b01.T).astype(np.float64)
+    union = np.count_nonzero(a2, axis=1)[:, None] + np.count_nonzero(b2, axis=1)[None, :] - inter
     iou = np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
     return float(iou[0, 0]) if a.ndim == 1 else iou
 

@@ -166,12 +166,37 @@ def decode_mask_logits(
     ``positions - cand_positions[k]`` and its box difference
     ``|point_boxes - cand_boxes[k]|``, zeroed under ``geo_cue`` "zero".
 
-    Candidates are decoded one at a time over preallocated buffers: an
-    (N, c_0) input whose mask-feature columns are filled once, the signed
-    box difference, and one (N, c) output per layer. Each candidate writes
-    its offset and box-difference columns in place and runs its sliced
-    layers (matmul, in-place bias and ReLU between layers, none after the
-    last), keeping only its row of logits; no (K, N, c_0) input is built.
+    Candidates are decoded one at a time over preallocated buffers; no
+    (K, N, c_0) input is built. The input is one channel-major
+    (c_0 + 1, N) buffer: the mask-feature rows are filled once, each
+    candidate writes its three offset rows and six box-difference rows
+    (from a (6, N) signed difference) as contiguous N-long rows, and the
+    last row is ones. Each hidden layer writes a row-major (N, c) buffer,
+    with a last column of ones when the next layer folds its bias, and its
+    ReLU runs in place over the whole buffer. A hidden layer hands matmul
+    its (N, c_in + 1) input, the first layer the transpose of the
+    channel-major buffer, and reads its weights and bias as one
+    (c_in + 1, c_out) view, ``kernel[w.start:b.stop]``, which the
+    layer-major flat layout makes contiguous: the product adds the bias
+    (the fold), where the first rule below allows it. Only each
+    candidate's row of logits is kept.
+
+    Two rules keep every logit the bytes of ``x @ W`` on a row-major ``x``
+    followed by ``+= b`` (``tests/test_blas.py`` pins the BLAS behaviour
+    they rest on):
+
+    - The fold is used only where numpy sends ``x @ W`` itself to a GEMM:
+      N, c_in and c_out all at least 2. A one-row product (N = 1) or a
+      width-1 output goes to gemv, which groups the c_in + 1 terms of the
+      folded sum differently, and at c_in = 1 the vjp would read the input
+      column as a strided vector. There the layer's input has no column of
+      ones, and the bias is added after the product. A GEMM gives the same
+      bytes for a row- or column-major input.
+    - A width-1 product (gemv) gives other bytes when its input is
+      column-major. The last layer reads a row-major hidden buffer, and a
+      layout whose first layer has width 1 (every one-layer layout, such
+      as (13, 1)) keeps its decoder input row-major, (N, c_0).
+
     The forward splits the candidates into up to ``WORKERS`` interleaved
     shares of at least ``MIN_SHARE_PAIRS`` candidate-point pairs, each with
     buffers of its own, which run on as many threads; every row keeps the
@@ -181,18 +206,23 @@ def decode_mask_logits(
     ``cand_boxes`` and ``kernels``. It walks only the candidates whose row
     of the upstream gradient has a non-zero entry (in training the mask
     losses read only the matched candidates' logits), recomputing each
-    one's activations rather than keeping them on the tape. With finite
-    activations and kernels a zero row adds only exact zeros, and every sum
-    over candidates starts at +0.0, so skipping it changes no byte; a
-    skipped candidate's kernel and box gradients stay the zeros they start
-    as. At K = 1 or N = 1 a sum starts at -0.0 instead (see
-    ``_sum_start``) and would keep a zero row's signed zeros, so every row
-    is walked there. The vjp runs on one thread, so its sums over
-    candidates run in ascending k. ``positions`` and
-    ``cand_positions`` are constants. While a branch signature is
-    captured, each candidate records the signs of its box differences and
-    every ReLU pattern, in ascending k, as ``autodiff.absolute`` and
-    ``autodiff.relu`` do.
+    one's activations in the forward's buffers rather than keeping them
+    on the tape. With finite activations and kernels a zero row adds only
+    exact zeros, and every sum over candidates starts at +0.0, so skipping
+    it changes no byte; a skipped candidate's kernel and box gradients
+    stay the zeros they start as. At K = 1 or N = 1 a sum starts at -0.0
+    instead (see ``_sum_start``) and would keep a zero row's signed zeros,
+    so every row is walked there. The vjp runs on one thread, so its sums
+    over candidates run in ascending k. The first layer's input gradient
+    ``gh @ W.T`` is written channel-major, and so are the mask-feature and
+    point-box sums and the sign products; for the channel-major input the
+    weight gradient ``x.T @ gh`` is taken as ``(gh.T @ x).T``, which has
+    the row-major product's bytes when gh is at least 2 wide, and each
+    candidate-box gradient sums its N terms in ascending n, as a row-major
+    axis-0 sum does. ``positions`` and ``cand_positions`` are constants.
+    While a branch signature is captured, each candidate records the signs
+    of its box differences and every ReLU pattern, in ascending k and in
+    row-major order, as ``autodiff.absolute`` and ``autodiff.relu`` do.
     """
     k_count, n, mask_dim = cand_positions.shape[0], positions.shape[0], fmask.shape[1]
     if kernels.shape != (k_count, layout.param_count):
@@ -205,34 +235,53 @@ def decode_mask_logits(
         )
     geo_on = geo_cue == "on"
     geo_scale = 1.0 if geo_on else 0.0  # "zero" decodes 0.0 * |difference|
-    offset_cols = slice(mask_dim, mask_dim + OFFSET_DIMS)
-    geo_cols = slice(mask_dim + OFFSET_DIMS, layout.dims[0])
+    c0 = layout.dims[0]
+    offset_rows = slice(mask_dim, mask_dim + OFFSET_DIMS)
+    geo_rows = slice(mask_dim + OFFSET_DIMS, c0)
     specs = layout.slices()
+    channel_major = layout.dims[1] > 1
+    folds = [b is not None and min(n, c_in, c_out) > 1 for _, b, (c_in, c_out) in specs]
+    # Per layer: the kernel entries its product reads, as a (rows, c_out)
+    # matrix, and the bias added after it (folded biases and the last
+    # layer have none).
+    steps = [
+        (slice(w.start, b.stop), (c_in + 1, c_out), None) if fold else (w, (c_in, c_out), b)
+        for (w, b, (c_in, c_out)), fold in zip(specs, folds)
+    ]
+    positions_t = np.ascontiguousarray(positions.T)
+    point_boxes_t = np.ascontiguousarray(point_boxes.value.T)
 
     def buffers() -> tuple[list[np.ndarray], np.ndarray]:
-        """One decoding thread's arrays: every layer's input, then the
-        logits column; and the signed box difference."""
-        acts = [np.zeros((n, layout.dims[0]))]
-        acts += [np.empty((n, c_out)) for _, _, (_, c_out) in specs]
-        acts[0][:, :mask_dim] = fmask.value
-        return acts, np.empty((n, BOX_DIMS))
+        """One decoding thread's arrays: every layer's (N, c_in) input, with
+        a last column of ones where the layer folds its bias (the first is
+        the transpose of the decoder input buffer); and the (6, N) signed
+        box difference."""
+        x0 = np.zeros((c0 + folds[0], n)) if channel_major else np.zeros((n, c0 + folds[0])).T
+        x0[:mask_dim] = fmask.value.T
+        x0[c0:] = 1.0
+        acts = [x0.T] + [np.ones((n, c_in + fold)) for (_, _, (c_in, _)), fold in zip(specs[1:], folds[1:])]
+        return acts, np.empty((BOX_DIMS, n))
 
-    def run(k: int, acts: list[np.ndarray], diff: np.ndarray, marks: list | None = None) -> None:
-        """Candidate k through its layers, in place; appends its box
-        difference signs and ReLU patterns to ``marks`` when given."""
-        np.subtract(positions, cand_positions[k], out=acts[0][:, offset_cols])
-        np.subtract(point_boxes.value, cand_boxes.value[k], out=diff)
+    def run(k: int, acts: list[np.ndarray], diff: np.ndarray, out: np.ndarray, marks: list | None = None) -> None:
+        """Candidate k through its layers into the (N, 1) ``out``, in place;
+        appends its box difference signs and ReLU patterns to ``marks`` when
+        given."""
+        x0 = acts[0].T
+        np.subtract(positions_t, cand_positions[k][:, None], out=x0[offset_rows])
+        np.subtract(point_boxes_t, cand_boxes.value[k][:, None], out=diff)
         if geo_on:
-            np.abs(diff, out=acts[0][:, geo_cols])
+            np.abs(diff, out=x0[geo_rows])
         if marks is not None:
-            marks.append(np.sign(diff))
+            marks.append(np.sign(diff).T)
         kernel = kernels.value[k]
-        for (w, b, shape), x, h in zip(specs, acts, acts[1:]):
-            np.matmul(x, kernel[w].reshape(shape), out=h)
-            if b is not None:  # every layer but the last: bias, then ReLU
-                h += kernel[b]
+        for (rows, shape, b), x, h in zip(steps, acts, acts[1:] + [out]):
+            pre = h[:, : shape[1]]
+            np.matmul(x[:, : shape[0]], kernel[rows].reshape(shape), out=pre)
+            if h is not out:  # every layer but the last: bias, then ReLU
+                if b is not None:
+                    pre += kernel[b]
                 if marks is not None:
-                    marks.append(h > 0.0)
+                    marks.append(pre > 0.0)
                 np.maximum(h, 0.0, out=h)
 
     # Workers touch numpy only: the branch signature is global, so each
@@ -244,8 +293,7 @@ def decode_mask_logits(
     def decode_share(share: int) -> None:
         acts, diff = buffers()
         for k in range(share, k_count, shares):
-            run(k, acts, diff, None if marks is None else marks[k])
-            logits[k] = acts[-1][:, 0]
+            run(k, acts, diff, logits[k][:, None], None if marks is None else marks[k])
 
     _in_shares(decode_share, shares)
     for candidate_marks in marks or ():
@@ -254,29 +302,39 @@ def decode_mask_logits(
 
     def vjp(g):
         g = np.ascontiguousarray(g)
-        g_fmask = np.full((n, mask_dim), _sum_start(k_count))
-        g_point_boxes = np.full((n, BOX_DIMS), _sum_start(k_count))
+        # Sums over candidates, channel-major like the input; transposed on return.
+        g_fmask = np.full((mask_dim, n), _sum_start(k_count))
+        g_point_boxes = np.full((BOX_DIMS, n), _sum_start(k_count))
         g_cand_boxes = np.zeros((k_count, BOX_DIMS))
         g_kernels = np.zeros(kernels.shape)
+        # The first layer's input gradient, in the memory order of its input.
+        g_x0 = np.empty((c0, n)) if channel_major else np.empty((n, c0)).T
+        box_terms = np.empty((BOX_DIMS, n + 1))
         acts, diff = buffers()
+        out = np.empty((n, 1))
         # At K = 1 or N = 1 a sum above starts at -0.0 and would pass a zero
         # row's signed zeros through, so there every row is walked.
         rows = np.flatnonzero(g.any(axis=1)) if k_count > 1 and n > 1 else range(k_count)
         for k in rows:
-            run(k, acts, diff)
+            run(k, acts, diff, out)
             kernel, g_kernel = kernels.value[k], g_kernels[k]
             gh = g[k][:, None]
             for layer in reversed(range(len(specs))):
-                w, b, shape = specs[layer]
+                w, b, (c_in, c_out) = specs[layer]
+                x = acts[layer][:, :c_in]
                 if b is not None:  # a ReLU output is positive exactly where its input was
-                    gh = gh * (acts[layer + 1] > 0.0)
+                    gh = gh * (acts[layer + 1][:, :c_out] > 0.0)
                     g_kernel[b] += gh.sum(axis=0)
-                g_kernel[w] += (acts[layer].T @ gh).ravel()
-                gh = gh @ kernel[w].reshape(shape).T
-            g_fmask += gh[:, :mask_dim]
-            g_geo = gh[:, geo_cols] * geo_scale * np.sign(diff)
+                g_kernel[w] += ((gh.T @ x).T if layer == 0 and channel_major else x.T @ gh).ravel()
+                weights_t = kernel[w].reshape(c_in, c_out).T
+                gh = gh @ weights_t if layer else np.matmul(gh, weights_t, out=g_x0.T)
+            g_fmask += g_x0[:mask_dim]
+            g_geo = g_x0[geo_rows] * geo_scale * np.sign(diff)
             g_point_boxes += g_geo
-            g_cand_boxes[k] = (-g_geo).sum(axis=0, initial=_sum_start(n))
-        return g_fmask, g_point_boxes, g_cand_boxes, g_kernels
+            # (-g_geo) summed over n in ascending order from _sum_start(n).
+            box_terms[:, 0] = _sum_start(n)
+            np.negative(g_geo, out=box_terms[:, 1:])
+            g_cand_boxes[k] = np.add.accumulate(box_terms, axis=1, out=box_terms)[:, -1]
+        return np.ascontiguousarray(g_fmask.T), np.ascontiguousarray(g_point_boxes.T), g_cand_boxes, g_kernels
 
     return ad.node(logits, (fmask, point_boxes, cand_boxes, kernels), vjp)

@@ -51,18 +51,31 @@ class _MaxMinSampler:
     def __init__(self, positions: np.ndarray):
         self.positions = np.asarray(positions, dtype=np.float64)
         n = self.positions.shape[0]
+        # Coordinate-major copy and buffers: every pass of a pick runs over
+        # contiguous n-long rows.
+        self.coords = np.ascontiguousarray(self.positions.T)
+        self.delta = np.empty((3, n))
+        self.d2 = np.empty(n)
         self.min_d2 = np.full(n, np.inf)
         self.taken = np.zeros(n, dtype=bool)
         self.order: list[int] = []
 
     def _take(self, index: int) -> np.ndarray:
-        """Select ``index``; returns every point's squared distance to it."""
+        """Select ``index``; returns every point's squared distance to it,
+        in a buffer that the next call overwrites.
+
+        The sum is (dx² + dz²) + dy², the order in which numpy's
+        ``einsum("ij,ij->i")`` adds three columns (two SIMD lanes take x
+        and y, then z joins lane 0), so the distances keep its bytes.
+        """
         self.taken[index] = True
         self.order.append(index)
-        delta = self.positions - self.positions[index]
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        np.minimum(self.min_d2, d2, out=self.min_d2)
-        return d2
+        delta = np.subtract(self.coords, self.coords[:, index : index + 1], out=self.delta)
+        dx, dy, dz = np.square(delta, out=delta)
+        np.add(dx, dz, out=self.d2)
+        self.d2 += dy
+        np.minimum(self.min_d2, self.d2, out=self.min_d2)
+        return self.d2
 
     def seed(self, allowed: np.ndarray, index: int | None = None) -> None:
         if index is None:

@@ -304,10 +304,14 @@ class TestFusedDecoder:
     """``decode_mask_logits`` decodes one candidate at a time and recomputes
     its activations in the vjp; it must equal the batched oracle bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 37])
+    # N = 1 is the one-row (gemv) rule and N = 2 the smallest GEMM with a
+    # folded bias. (13, 1) and (13, 1, 4, 1) keep the input of their width-1
+    # first layer row-major, and neither of (13, 1, 4, 1)'s first two layers
+    # folds its bias.
+    @pytest.mark.parametrize("n", [1, 2, 37])
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("geo_cue", ["on", "zero"])
-    @pytest.mark.parametrize("dims", [(13, 1), (13, 8, 1), (13, 4, 4, 1)])
+    @pytest.mark.parametrize("dims", [(13, 1), (13, 8, 1), (13, 4, 4, 1), (13, 1, 4, 1), (41, 32, 1)])
     def test_bit_identical_to_batched_oracle(self, dims, geo_cue, k, n):
         values, positions, cand_positions, layout = decoder_case(k, n, dims)
         upstream = np.random.default_rng(1).normal(size=(k, n))
@@ -406,7 +410,8 @@ class TestZeroRowSkip:
     @given(
         kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
         n=st.sampled_from([1, 2, 7]),
-        dims=st.sampled_from([(13, 1), (13, 4, 1), (13, 3, 2, 1)]),
+        # (13, 1, 4, 1): a width-1 hidden layer, which folds no bias.
+        dims=st.sampled_from([(13, 1), (13, 4, 1), (13, 3, 2, 1), (13, 1, 4, 1)]),
         geo_cue=st.sampled_from(["on", "zero"]),
         seed=st.integers(0, 2**16),
     )

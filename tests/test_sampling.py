@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pciseg import sampling
 from pciseg.sampling import (
     TAU,
     SampleBudget,
@@ -94,6 +95,60 @@ class TestFps:
         small = fps(pts, budget, seed_index=0)
         big = fps(pts, min(budget + 1, 20), seed_index=0)
         assert big[: budget].tolist() == small.tolist()
+
+
+class EinsumSampler(sampling._MaxMinSampler):
+    """The sampler with the row-major einsum distance its ``_take`` used
+    before it went coordinate-major."""
+
+    def _take(self, index):
+        self.taken[index] = True
+        self.order.append(index)
+        delta = self.positions - self.positions[index]
+        d2 = np.einsum("ij,ij->i", delta, delta)
+        np.minimum(self.min_d2, d2, out=self.min_d2)
+        return d2
+
+
+class TestCoordinateMajorTake:
+    """``_take`` sums (dx² + dz²) + dy² over coordinate-major rows; its
+    distances, and so every pick, keep the einsum sampler's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_picks_and_distances_equal_the_einsum_sampler(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(seed)
+        # Half-unit grid points repeat and tie exactly on distance; the rest
+        # spread over many magnitudes; some rows are copies of others.
+        grid = rng.integers(-2, 3, size=(n, 3)) * 0.5
+        wide = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        pts = np.where(rng.uniform(size=(n, 1)) < data.draw(st.sampled_from([0.0, 0.5, 1.0])), grid, wide)
+        copies = rng.integers(0, n, size=rng.integers(0, n + 1))
+        pts[copies] = pts[rng.integers(0, n, size=copies.size)]
+
+        new, old = sampling._MaxMinSampler(pts), EinsumSampler(pts)
+        for index in rng.permutation(n)[:4]:
+            assert new._take(index).tobytes() == old._take(index).tobytes()
+            assert new.min_d2.tobytes() == old.min_d2.tobytes()
+
+        allowed = rng.uniform(size=n) < 0.7
+        allowed[rng.integers(0, n)] = True
+        budget = data.draw(st.integers(1, int(allowed.sum())))
+        table = (rng.uniform(size=(n, n)) < 0.2).astype(float)
+        chunks = SampleBudget(tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))))
+        runs = []
+        for sampler in (sampling._MaxMinSampler, EinsumSampler):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "_MaxMinSampler", sampler)
+                runs.append([
+                    fps(pts, budget, candidate_filter=allowed),
+                    fps(pts, n),
+                    ia_fps_infer(allowed, pts, chunks, lambda idx: table[idx]),
+                ])
+        for got, want in zip(*runs):
+            assert got.tolist() == want.tolist()
 
 
 class TestIaFpsTrain:
