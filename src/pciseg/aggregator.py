@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Var
-from .core import ROUNDING_MARGIN, squared_distances
+from .core import nearest
 
 
 def ball_query(
@@ -30,11 +29,12 @@ def ball_query(
     """Up to Q in-radius neighbors per center, nearest first.
 
     Neighbors are the points whose squared distance is at most radius²,
-    ordered by (squared distance, index), so ties go to the lower index.
-    Only the in-radius pairs are sorted, never a full row. Short lists are
-    padded by repeating the first neighbor. A center with no point in
-    radius pads with its own index when given, else with the globally
-    nearest point (the lowest index among equally near ones).
+    ordered by (squared distance, index), so ties go to the lower index;
+    :func:`core.nearest` finds the first Q exactly from Q + 1 tree
+    candidates per center. Short lists are padded by repeating the first
+    neighbor. A center with no point in radius pads with its own index when
+    given, else with the globally nearest point (the lowest index among
+    equally near ones).
     """
     positions = np.asarray(positions, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -44,32 +44,15 @@ def ball_query(
         raise ValueError("neighbor count must be at least 1")
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise ValueError("centers must be (K, 3)")
-    # The trees propose pairs within a slightly larger radius; the exact
-    # squared distance, computed as a dense scan would, decides membership.
-    pairs = cKDTree(centers).sparse_distance_matrix(
-        cKDTree(positions), radius * (1.0 + ROUNDING_MARGIN), output_type="ndarray"
-    )
-    rows, cols = pairs["i"], pairs["j"]
-    d2 = squared_distances(centers[rows], positions[cols])
-    inside = d2 <= radius * radius
-    rows, cols, d2 = rows[inside], cols[inside], d2[inside]
-    order = np.lexsort((cols, d2, rows))
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=centers.shape[0])
-    starts = np.cumsum(counts) - counts
-    empty = counts == 0
-    first = np.empty(centers.shape[0], dtype=np.int64)
-    first[~empty] = cols[starts[~empty]]
+    n = positions.shape[0]
+    out = nearest(positions, centers, num_neighbors, radius)
+    first = out[:, 0].copy()
+    empty = first == n
     if center_indices is not None:
         first[empty] = np.asarray(center_indices, dtype=np.int64)[empty]
     elif empty.any():
-        # argmin takes the lower index among equally near points.
-        first[empty] = np.argmin(squared_distances(centers[empty, None, :], positions), axis=1)
-    out = np.repeat(first[:, None], num_neighbors, axis=1)
-    rank = np.arange(rows.size) - starts[rows]
-    keep = rank < num_neighbors
-    out[rows[keep], rank[keep]] = cols[keep]
-    return out
+        first[empty] = nearest(positions, centers[empty], 1)[:, 0]
+    return np.where(out < n, out, first[:, None])
 
 
 @dataclass(frozen=True)
@@ -140,16 +123,19 @@ def aggregate_batch(
     input buffer, the gathered features beside the normalized offsets, and
     runs the three maps with ``np.matmul(out=)``, in-place bias and ReLU.
     Every row gets the arithmetic of the unfused chain (gather, concat,
-    affine maps, max), so outputs and gradients equal its bytes. At
-    inference no activation is kept. When a parent requires a gradient, the
-    chunks write into full (K, Q, ·) input and hidden arrays and the argmax
-    per (centre, channel) is kept for the vjp. The vjp walks only the
-    centres whose row of g has a non-zero entry (block 2 reads only some
-    block-1 rows), in ascending chunks of ``CHUNK_CENTERS`` gathered by
-    index: g goes to the argmax rows, each bias and weight
-    gradient continues one running sum, and the walked neighbour rows'
-    feature gradients are scattered by one :func:`autodiff.scatter_rows`
-    at the end. With finite activations and weights a zero row adds only
+    affine maps, max), so outputs and gradients equal its bytes, with one
+    exception: at D = 1 and K > ``CHUNK_CENTERS`` numpy sums the chain's
+    (rows, 1) layer-gradient parts pairwise, and the sum continued chunk
+    by chunk regroups them, so those gradients may differ in the last
+    bits. At inference no activation is kept. When a parent requires a
+    gradient, the chunks write into full (K, Q, ·) input and hidden
+    arrays and the argmax per (centre, channel) is kept for the vjp. The
+    vjp walks only the centres whose row of g has a non-zero entry (block
+    2 reads only some block-1 rows), in ascending chunks of
+    ``CHUNK_CENTERS`` gathered by index: g goes to the argmax rows, each
+    bias and weight gradient continues one running sum, and the walked
+    neighbour rows' feature gradients are scattered by one
+    :func:`autodiff.scatter_rows` at the end. With finite activations and weights a zero row adds only
     exact zeros to sums that start at +0.0, so skipping it changes no byte.
     When no row is live every gradient is zeros, and at K = 0 the layers
     get None. At D = 1 every centre is walked (see the vjp). While a branch

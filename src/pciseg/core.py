@@ -1,8 +1,9 @@
 """Geometric primitives shared across the package.
 
 Scenes, axis-aligned bounding boxes, soft/binary masks over point clouds,
-and the voxel mapping used for late feature expansion. All functions here
-are pure and operate on plain numpy arrays.
+the exact nearest-neighbour search behind the encoder and the ball
+queries, and the voxel mapping used for late feature expansion. All
+functions here are pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 # Soft masks compare strictly against this threshold when binarized.
 BINARIZE_THRESHOLD = 0.5
@@ -195,6 +197,88 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     diff = a - b
     return np.einsum("...i,...i->...", diff, diff)
+
+
+def coordinate_major_d2(delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared norms of coordinate-major differences, with the bytes of
+    :func:`squared_distances`.
+
+    ``delta`` holds the x, y and z differences along its first axis and is
+    squared in place. The sum is (dx² + dz²) + dy², the order in which
+    numpy's ``einsum`` adds three contiguous terms (two SIMD lanes take x
+    and y, then z joins lane 0), so each value keeps the einsum's bytes
+    while every pass runs over contiguous rows.
+    """
+    dx, dy, dz = np.square(delta, out=delta)
+    out = np.add(dx, dz, out=out)
+    out += dy
+    return out
+
+
+def nearest(
+    points: np.ndarray, queries: np.ndarray, k: int, radius: float | None = None, workers: int = 1
+) -> np.ndarray:
+    """The k nearest points to each query, ordered by (squared distance, index).
+
+    Returns a (Q, k) index array into ``points``; ties go to the lower
+    index. With a radius only points whose squared distance is at most
+    radius² count. A slot with no such point holds ``len(points)``.
+
+    A k-d tree proposes k + 1 candidates per query (within radius times
+    1 + ``ROUNDING_MARGIN`` for a ball), and their squared distances are
+    recomputed with the bytes of :func:`squared_distances`; candidates
+    beyond the radius are dropped. Only rows whose candidates the tree did
+    not already give in (squared distance, index) order are sorted. A row
+    that came back with a free slot holds every point in the ball. A full
+    row is exact when its k-th distance is clearly below the spare's, the
+    (k + 1)-th: every other point is at least as far as the spare, to
+    within rounding. Otherwise, when the two lie within the margin of each
+    other or the radius dropped the spare, the row is redone over every
+    point within its k-th candidate distance (the radius when that slot
+    was dropped) plus the margin, which holds its k true nearest points.
+    The tree is built unbalanced and with loose nodes, which is quicker;
+    its shape changes no answer, since the exact distances decide. Tree
+    queries split over ``workers`` threads; no row depends on the split.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    n = points.shape[0]
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    bound = np.inf if radius is None else radius * (1.0 + ROUNDING_MARGIN)
+    _, idx = tree.query(queries, k=k + 1, distance_upper_bound=bound, workers=workers)
+    full = idx[:, k] < n  # the tree fills slots nearest first
+    # Column n pads the coordinates for the tree's free slots.
+    coords = np.zeros((3, n + 1))
+    coords[:, :n] = points.T
+    delta = np.take(coords, idx, axis=1)
+    delta -= queries.T[:, :, None]
+    d2 = coordinate_major_d2(delta)
+    drop = idx == n
+    if radius is not None:
+        drop |= d2 > radius * radius
+    np.copyto(d2, np.inf, where=drop)
+    np.copyto(idx, n, where=drop)
+    ahead, after = d2[:, :-1], d2[:, 1:]
+    swapped = (ahead > after) | ((ahead == after) & (idx[:, :-1] > idx[:, 1:]))
+    broken = np.flatnonzero(swapped.any(axis=1))
+    if broken.size:
+        order = np.lexsort((idx[broken], d2[broken]), axis=-1)
+        idx[broken] = np.take_along_axis(idx[broken], order, axis=1)
+        d2[broken] = np.take_along_axis(d2[broken], order, axis=1)
+    kth, spare = d2[:, k - 1], d2[:, k]
+    redo = full & ((kth >= spare * (1.0 - ROUNDING_MARGIN)) | (spare == np.inf))
+    for i in np.flatnonzero(redo):
+        reach = kth[i] if kth[i] < np.inf else radius * radius
+        ball = tree.query_ball_point(queries[i], np.sqrt(reach) * (1.0 + ROUNDING_MARGIN))
+        near = np.array(ball, dtype=np.intp)
+        d2_i = squared_distances(queries[i], points[near])
+        if radius is not None:
+            inside = d2_i <= radius * radius
+            near, d2_i = near[inside], d2_i[inside]
+        best = near[np.lexsort((near, d2_i))[:k]]
+        idx[i, : best.size] = best
+        idx[i, best.size :] = n
+    return idx[:, :k]
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

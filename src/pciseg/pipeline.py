@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import expit, softmax
 
 from . import autodiff as ad, dynconv
@@ -25,13 +24,12 @@ from .aggregator import AggregatorBlock, aggregate_batch, ball_query, box_from_r
 from .autodiff import Var
 from .core import (
     BINARIZE_THRESHOLD,
-    ROUNDING_MARGIN,
     Aabb,
     Prediction,
     Scene,
     binarize,
     mask_iou,
-    squared_distances,
+    nearest,
     voxelize,
 )
 # infer and scene_loss decode through this module-level name, which bench/spans.py rebinds.
@@ -53,7 +51,6 @@ from .supervision import (
 logger = logging.getLogger(__name__)
 
 ENCODER_KNN = 16
-KNN_SLACK = 1  # spare k-d tree candidates per point beyond the k kept
 ENCODER_INPUT_DIM = 18
 DUPLICATION = 4  # candidates that matching may assign to one ground-truth instance
 
@@ -212,39 +209,29 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
 
     Neighborhoods are the 16 nearest points, self included, ordered by
     (squared distance, index): ties go to the lower index, so duplicated
-    coordinates always receive identical rows. A k-d tree proposes
-    ``ENCODER_KNN + KNN_SLACK`` candidates per point, one more than are
-    kept, whose squared distances are recomputed with the same arithmetic
-    as an exact scan and re-sorted; its queries split over
-    ``dynconv.share_count`` threads, and no row's answer depends on the
-    split. A row whose k-th distance is not clearly below its spare
-    candidate's may have a tie, or a rounding difference, across the
-    candidate boundary; only such rows are redone exactly, over every point
-    within the row's k-th candidate distance (plus the rounding margin),
-    which holds all k true nearest points.
+    coordinates always receive identical rows. :func:`core.nearest` finds
+    them exactly; its tree queries split over ``dynconv.share_count``
+    threads. The mean and standard deviation over a neighbourhood are
+    numpy's ``mean`` and ``std`` bytes: the std reuses the mean and squares
+    the deviations in place.
     """
     positions = np.asarray(positions, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.float64)
     m = positions.shape[0]
     k = min(ENCODER_KNN, m)
-    kq = min(ENCODER_KNN + KNN_SLACK, m)
-    tree = cKDTree(positions)
-    _, cand = tree.query(positions, k=kq, workers=dynconv.share_count(m * kq))
-    cand = cand.reshape(m, kq)
-    d2 = squared_distances(positions[:, None, :], positions[cand])
-    order = np.lexsort((cand, d2), axis=-1)
-    nn = np.take_along_axis(cand, order[:, :k], axis=1)
-    d2 = np.take_along_axis(d2, order, axis=1)
-    for i in np.flatnonzero(d2[:, k - 1] >= d2[:, -1] * (1.0 - ROUNDING_MARGIN)):
-        radius = np.sqrt(d2[i, k - 1]) * (1.0 + ROUNDING_MARGIN)
-        near = np.array(tree.query_ball_point(positions[i], radius))
-        d2_i = squared_distances(positions[i], positions[near])
-        nn[i] = near[np.lexsort((near, d2_i))[:k]]
+    workers = dynconv.share_count(m * (ENCODER_KNN + 1))
+    nn = nearest(positions, positions, ENCODER_KNN, workers=workers)[:, :k]
     # One neighbour-major (k, N, 6) gather of positions and colours: the
     # statistics reduce over whole (N, 6) slices, with the same additions
     # in the same order per entry.
     near = np.concatenate([positions, colors], axis=1)[nn.T]
-    mean, std = near.mean(axis=0), near.std(axis=0)
+    mean = near.sum(axis=0)
+    mean /= k
+    near -= mean
+    np.square(near, out=near)
+    std = near.sum(axis=0)
+    std /= k
+    np.sqrt(std, out=std)
     return np.concatenate(
         [positions, colors, mean[:, :3], std[:, :3], mean[:, 3:], std[:, 3:]],
         axis=1,

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Scene
+from .core import Scene, coordinate_major_d2
 
 # A point is foreground while 1 - P(background) > TAU, and stays unclaimed
 # while 1 - m > TAU for every decoded soft mask value m on it.
@@ -61,19 +61,13 @@ class _MaxMinSampler:
         self.order: list[int] = []
 
     def _take(self, index: int) -> np.ndarray:
-        """Select ``index``; returns every point's squared distance to it,
-        in a buffer that the next call overwrites.
-
-        The sum is (dx² + dz²) + dy², the order in which numpy's
-        ``einsum("ij,ij->i")`` adds three columns (two SIMD lanes take x
-        and y, then z joins lane 0), so the distances keep its bytes.
-        """
+        """Select ``index``; returns every point's squared distance to it
+        (the bytes of ``core.coordinate_major_d2``), in a buffer that the
+        next call overwrites."""
         self.taken[index] = True
         self.order.append(index)
         delta = np.subtract(self.coords, self.coords[:, index : index + 1], out=self.delta)
-        dx, dy, dz = np.square(delta, out=delta)
-        np.add(dx, dz, out=self.d2)
-        self.d2 += dy
+        coordinate_major_d2(delta, out=self.d2)
         np.minimum(self.min_d2, self.d2, out=self.min_d2)
         return self.d2
 

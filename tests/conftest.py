@@ -54,11 +54,14 @@ def aabb_giou(a: Aabb, b: Aabb) -> float:
     Ranges over (-1, 1]; symmetric; equals the plain IoU when one box
     contains the other. Identical boxes score exactly 1, including the
     degenerate zero-volume case. A zero-volume hull makes the correction
-    term vanish.
+    term vanish. The hull volume is taken as at least the union volume,
+    as it is in exact arithmetic: with subnormal extents the rounded
+    products can put the hull below the union (1e-323 against 1.5e-323),
+    which would lift the GIoU above the IoU.
     """
     inter, union = _intersection_union(a, b)
     hull_extent = np.maximum(a.max_corner, b.max_corner) - np.minimum(a.min_corner, b.min_corner)
-    hull = float(np.prod(hull_extent))
+    hull = max(float(np.prod(hull_extent)), union)
     iou = aabb_iou(a, b)
     if hull <= 0.0:
         return iou

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pciseg.core import (
@@ -90,6 +90,12 @@ boxes = st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(boxes, boxes)
+# Subnormal z extents: the rounded hull volume (1e-323) falls below the
+# union volume (1.5e-323); the oracle's hull is at least the union.
+@example(
+    Aabb(np.array([0.0, 1.0, 5e-324]), np.array([1.5, 2.0, 9.9e-324])),
+    Aabb(np.array([1.0, 1.0, 5e-324]), np.array([2.0, 2.0, 1e-323])),
+)
 def test_giou_symmetric_bounded_below_iou(a, b):
     g1, g2 = aabb_giou(a, b), aabb_giou(b, a)
     assert g1 == pytest.approx(g2, abs=1e-12)

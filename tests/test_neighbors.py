@@ -12,8 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pciseg import pipeline
+from pciseg import core
 from pciseg.aggregator import ball_query
 from pciseg.core import squared_distances
 from pciseg.pipeline import ENCODER_KNN, encoder_inputs
@@ -55,7 +57,7 @@ def eighths(rng, n, cells):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Counts the single-row exact redos of ``encoder_inputs``'s tie fallback.
+    """Counts the single-row exact redos of ``core.nearest``.
 
     ``scans()`` counts the fallback rows; ``scans(full=n)`` counts those
     that computed distances to all ``n`` points.
@@ -67,7 +69,7 @@ def scans(monkeypatch):
             widths.append(len(b))
         return squared_distances(a, b)
 
-    monkeypatch.setattr(pipeline, "squared_distances", spy)
+    monkeypatch.setattr(core, "squared_distances", spy)
     return lambda full=None: sum(1 for w in widths if full is None or w >= full)
 
 
@@ -138,6 +140,38 @@ class TestBallQueryNeighbors:
         assert got.shape == (5, 8)
         assert np.array_equal(got, oracle_ball_query(positions, positions, 0.3, 8, np.arange(5)))
 
+    def test_continuous_points_need_no_redo(self, scans):
+        rng = np.random.default_rng(10)
+        positions = rng.random((2000, 3)) * [2.0, 2.0, 0.5]
+        idx = rng.choice(2000, 150, replace=False)
+        centers = np.concatenate([positions[idx], rng.random((50, 3)) * [2.0, 2.0, 0.5]])
+        for radius, q in ((0.1, 8), (0.2, 32), (0.4, 32)):
+            got = ball_query(positions, centers, radius, q)
+            assert got.tobytes() == oracle_ball_query(positions, centers, radius, q).tobytes()
+        assert scans() == 0
+
+    def test_kth_and_spare_tie_is_redone(self, scans):
+        # The 2nd and 3rd nearest points of the centre lie 1/8 away.
+        positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.125, 0.0], [0.125, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        got = ball_query(positions, positions[:1], 0.25, 2, [0])
+        assert scans() == 1
+        assert got.tobytes() == oracle_ball_query(positions, positions[:1], 0.25, 2, [0]).tobytes()
+        assert got.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("q,want", [(2, [0, 1]), (3, [0, 1, 0])])
+    def test_spare_inside_the_tree_bound_but_outside_the_radius_is_redone(self, scans, q, want):
+        # Points 2 and 3 lie 1e-14 beyond the radius: inside the tree's
+        # bound of radius * (1 + ROUNDING_MARGIN), outside radius² exactly.
+        # At Q = 3 the k-th slot is dropped too, so the redo scans the
+        # whole ball and must drop them again.
+        edge = 0.25 + 1e-14
+        positions = np.array([[0.0, 0.0, 0.0], [0.125, 0.0, 0.0], [edge, 0.0, 0.0], [0.0, edge, 0.0]])
+        assert np.all(dense_d2(positions[:1], positions)[0, 2:] > 0.25**2)
+        got = ball_query(positions, positions[:1], 0.25, q, [0])
+        assert scans() == 1
+        assert got.tobytes() == oracle_ball_query(positions, positions[:1], 0.25, q, [0]).tobytes()
+        assert got.tolist() == [want]
+
     @pytest.mark.parametrize("with_indices", [True, False])
     def test_empty_balls(self, with_indices):
         rng = np.random.default_rng(8)
@@ -154,16 +188,40 @@ class TestBallQueryNeighbors:
             assert np.array_equal(got[6:, 0], indices[6:])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_both_searches_equal_the_dense_oracle_on_grids(data):
+    """Eighths grids with repeated points, radii drawn from the grid's own
+    distances (so points lie exactly on the radius), centres on and off
+    the points, with and without centre indices."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(1, 300), label="n")
+    q = data.draw(st.integers(1, 40), label="Q")
+    positions = eighths(rng, n, data.draw(st.integers(1, 12), label="cells"))
+    copies = rng.integers(0, n, size=rng.integers(0, n + 1))
+    positions[copies] = positions[rng.integers(0, n, size=copies.size)]
+    idx = rng.integers(0, n, size=rng.integers(1, 41))
+    centers = positions[idx] + rng.integers(-3, 4, size=(idx.size, 3)) / 8.0 * (rng.random((idx.size, 1)) < 0.3)
+    distances = np.unique(np.sqrt(dense_d2(centers, positions)))
+    radius = data.draw(st.sampled_from(distances[distances > 0].tolist() or [0.125]), label="radius")
+    indices = idx if data.draw(st.booleans(), label="with_indices") else None
+    got = ball_query(positions, centers, radius, q, indices)
+    assert got.tobytes() == oracle_ball_query(positions, centers, radius, q, indices).tobytes()
+    assert_same_rows(positions)
+
+
 def test_neighbor_searches_stay_sparse_at_16k_points():
     """At 16 384 points neither search holds an N-wide block of distances.
 
     The old chunked encoder scan built a 122 x 16384 x 3 float64 difference
     block (48 MB) per chunk and peaked at about 114 MB; the current one
     holds (N, 17)-sized candidate arrays and the (16, N, 6) neighbour
-    gather, about 39 MB. The old dense ball query of 192 centres built a
-    192 x 16384 x 3 block (75 MB); the pair query holds only in-radius
-    pairs, under 1 MB. Bounds: 48 MB, the old difference chunk alone, and
-    8 MB, a third of one dense 192 x 16384 float64 distance matrix.
+    gather, whose deviations it squares in place, about 19 MB. The old
+    dense ball query of 192 centres built a 192 x 16384 x 3 block (75 MB);
+    the bounded tree query holds 33 candidates per centre, under 1 MB
+    of traced allocations. Bounds:
+    48 MB, the old difference chunk alone, and 8 MB, a third of one dense
+    192 x 16384 float64 distance matrix.
     """
     rng = np.random.default_rng(0)
     positions = rng.random((16384, 3)) * [4.0, 4.0, 1.0]
