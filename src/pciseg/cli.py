@@ -83,6 +83,29 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _ranged(kind, ok, rule: str):
+    """An argparse type: a ``kind`` value for which ``ok`` holds, ``rule`` in words."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {'an integer' if kind is int else 'a number'}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {rule}")
+        return value
+
+    return parse
+
+
+_positive = _ranged(int, lambda v: v >= 1, "at least 1")
+
+
+def _budgets(text: str) -> list[int]:
+    """An argparse type: comma-separated positive sampling budgets."""
+    return [_positive(part) for part in text.split(",")]
+
+
 def _scene_files(directory: Path) -> list[Path]:
     files = sorted(directory.glob("*.scene"))
     if not files:
@@ -102,11 +125,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_recall_bench(args) -> int:
-    budgets = [int(b) for b in args.budgets.split(",")]
     config = scenegen.GenConfig(num_scenes=args.scenes, points_per_scene=args.points, seed=args.seed)
     scenes = scenegen.generate(config)
     rows = []
-    for budget in budgets:
+    for budget in args.budgets:
         recalls = []
         for scene in scenes:
             if args.sampler == "fps":
@@ -127,7 +149,8 @@ def cmd_recall_bench(args) -> int:
 def cmd_train(args) -> int:
     config = _load_dataclass(pipeline.PipelineConfig, args.config)
     scenes = [scenegen.read_scene(path) for path in _scene_files(Path(args.data))]
-    n_val = max(1, int(round(len(scenes) * args.val_fraction))) if len(scenes) > 1 else 0
+    # A nonzero fraction holds out at least one scene and trains on at least one.
+    n_val = min(len(scenes) - 1, max(1, round(len(scenes) * args.val_fraction))) if args.val_fraction else 0
     train_scenes = scenes[: len(scenes) - n_val] if n_val else scenes
     val = scenes[len(scenes) - n_val :] if n_val else None
     model, history = pipeline.train(train_scenes, config, args.seed, val)
@@ -187,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("recall-bench", help="instance recall of the samplers")
-    p.add_argument("--budgets", default="32,64,128")
-    p.add_argument("--scenes", type=int, default=50, help="number of synthetic scenes")
-    p.add_argument("--points", type=int, default=1024)
+    p.add_argument("--budgets", type=_budgets, default="32,64,128", help="comma-separated positive budgets")
+    p.add_argument("--scenes", type=_positive, default=50, help="number of synthetic scenes")
+    lo, hi = scenegen.MIN_POINTS, scenegen.MAX_POINTS
+    p.add_argument("--points", type=_ranged(int, lambda v: lo <= v <= hi, f"in [{lo}, {hi}]"), default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=("fps", "iafps"), default="iafps")
     p.set_defaults(func=cmd_recall_bench)
@@ -199,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with pipeline settings")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--val-fraction", type=float, default=0.15)
+    in_unit = _ranged(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    p.add_argument("--val-fraction", type=in_unit, default=0.15, help="share of scenes held out; 0: no validation")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="run inference on one scene file")

@@ -32,7 +32,7 @@ from .core import (
     nearest,
     voxelize,
 )
-# infer and scene_loss decode through this module-level name, which bench/spans.py rebinds.
+# _candidate_stage decodes through this module-level name, which bench/spans.py rebinds.
 from .dynconv import KernelLayout, decode_mask_logits as _decode_mask_logits
 from .evalmetrics import average_precision
 from .sampling import TAU, SampleBudget, fps, ia_fps_infer
@@ -53,6 +53,7 @@ logger = logging.getLogger(__name__)
 ENCODER_KNN = 16
 ENCODER_INPUT_DIM = 18
 DUPLICATION = 4  # candidates that matching may assign to one ground-truth instance
+GRAD_CLIP = 5.0  # global gradient-norm bound of each training step
 
 MODEL_MAGIC = b"PCMODEL\x00"
 MODEL_VERSION = 1
@@ -84,7 +85,6 @@ class PipelineConfig:
     voxel_size: float | None = None
     # training
     learning_rate: float = 5e-3
-    grad_clip: float = 5.0
     batch_size: int = 4
     epochs: int = 40
     eval_every: int = 10
@@ -94,6 +94,9 @@ class PipelineConfig:
             raise ValueError("need background plus at least one instance class")
         if self.geo_cue not in ("on", "zero"):
             raise ValueError("geo_cue must be on or zero")
+        for name in ("d_model", "mask_dim", "num_neighbors", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         self.kernel_layout()  # raises on a malformed layout
         self.sample_budget()  # raises on malformed chunks
         # decoder input: mask features, 3 offsets, 6 box differences
@@ -104,6 +107,12 @@ class PipelineConfig:
             )
         if self.k_train < 1 or self.stage1_budget < 1:
             raise ValueError("sampling budgets must be positive")
+        if len(self.radii) != 2 or not all(np.isfinite(r) and r > 0 for r in self.radii):
+            raise ValueError("radii must be two positive finite values")
+        if self.voxel_size is not None and not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError("voxel_size must be None or positive and finite")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be non-negative and finite")
 
     def kernel_layout(self) -> KernelLayout:
         return KernelLayout(self.layout_dims)
@@ -112,16 +121,14 @@ class PipelineConfig:
         return SampleBudget(self.chunk_sizes)
 
 
-def default_config_for(model: "ModelParams", **overrides) -> PipelineConfig:
+def default_config_for(model: "ModelParams") -> PipelineConfig:
     """A config matching a model's structure."""
-    fields = dict(
+    return PipelineConfig(
         num_classes=model.num_classes,
         d_model=model.d_model,
         mask_dim=model.mask_dim,
         layout_dims=tuple(model.layout_dims),
     )
-    fields.update(overrides)
-    return PipelineConfig(**fields)
 
 
 def _param_specs(config: PipelineConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -297,16 +304,16 @@ def _foreground(sem: Var) -> np.ndarray:
     return (1.0 - background) > PipelineConfig.tau
 
 
-def _candidate_encoder(
-    p: dict, config: PipelineConfig, feats: Var, positions: np.ndarray, stage1: np.ndarray
-):
-    """Both aggregation blocks plus the candidate heads.
+def _candidate_stage(p: dict, config: PipelineConfig, pointwise: tuple, positions: np.ndarray, stage1: np.ndarray):
+    """The candidate stage that inference and training share.
 
     Block 1 aggregates the scene at the stage-1 points once. The returned
-    function maps local indices into stage 1 to the heads' outputs (class
-    logits, boxes, kernels, quality) after block 2 aggregates stage 1 at
-    those points.
+    function maps local indices into stage 1 to those candidates' class
+    logits, boxes, quality logits and raw mask logits: block 2, the heads,
+    then each kernel decoded over every point.
     """
+    feats, _, point_boxes, fmask = pointwise
+    layout = config.kernel_layout()
 
     def block(prefix: str, radius: float) -> AggregatorBlock:
         layers = tuple((p[f"{prefix}.w{i}"], p[f"{prefix}.b{i}"]) for i in range(3))
@@ -317,11 +324,16 @@ def _candidate_encoder(
     feats1 = aggregate_batch(block1, feats, positions, stage1, nb1)
     sub_pos = positions[stage1]
 
-    def encode(local_idx: np.ndarray):
+    def stage(local_idx: np.ndarray):
         nb2 = ball_query(sub_pos, sub_pos[local_idx], block2.radius, block2.num_neighbors, local_idx)
-        return heads(aggregate_batch(block2, feats1, sub_pos, local_idx, nb2), p)
+        cls_logits, boxes, kernels, quality = heads(aggregate_batch(block2, feats1, sub_pos, local_idx, nb2), p)
+        centers = stage1[local_idx]
+        mask_logits = _decode_mask_logits(
+            fmask, positions, point_boxes, positions[centers], point_boxes[centers], kernels, layout, config.geo_cue
+        )
+        return cls_logits, boxes, quality, mask_logits
 
-    return encode
+    return stage
 
 
 def nms(masks: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int]:
@@ -385,46 +397,30 @@ def infer(
     config = config or default_config_for(model)
     match_config(model, config)
     p = model.as_vars()
-    layout = config.kernel_layout()
-
-    feats, sem, point_boxes, fmask = _forward_pointwise(scene, p, config, None)
+    pointwise = _forward_pointwise(scene, p, config, None)  # features, semantic logits, boxes, mask features
 
     positions = scene.positions
-    foreground = _foreground(sem)
+    foreground = _foreground(pointwise[1])
     if not foreground.any():
         logger.debug("inference stopped early: no foreground")
         return []
 
     stage1 = fps(positions, min(config.stage1_budget, int(foreground.sum())), candidate_filter=foreground)
-    encode = _candidate_encoder(p, config, feats, positions, stage1)
+    stage = _candidate_stage(p, config, pointwise, positions, stage1)
     chunks: list[tuple] = []  # (class logits, boxes, quality, soft masks) per candidate chunk
 
-    def candidate_stage(local_idx: np.ndarray) -> np.ndarray:
-        """Encode one chunk of candidates and decode their masks over all points.
-
-        Returns the masks at the stage-1 points: the IA-FPS feedback.
-        """
-        cls_logits, boxes, kernels, quality = encode(local_idx)
-        centers = stage1[local_idx]
-        logits = _decode_mask_logits(
-            fmask,
-            positions,
-            point_boxes,
-            positions[centers],
-            point_boxes[centers],
-            kernels,
-            layout,
-            config.geo_cue,
-        )
-        masks = expit(logits.value)
+    def feedback(local_idx: np.ndarray) -> np.ndarray:
+        """One chunk through the candidate stage; returns its masks at the stage-1 points."""
+        cls_logits, boxes, quality, mask_logits = stage(local_idx)
+        masks = expit(mask_logits.value)
         chunks.append((cls_logits.value, boxes.value, quality.value, masks))
         return masks[:, stage1]
 
     # Every stage-1 point is foreground, so the first chunk always picks.
-    local_order = ia_fps_infer(foreground[stage1], positions[stage1], config.sample_budget(), candidate_stage)
+    local_order = ia_fps_infer(foreground[stage1], positions[stage1], config.sample_budget(), feedback)
     decoded = sum(masks.shape[0] for *_, masks in chunks)
     if decoded < local_order.size:
-        candidate_stage(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
+        feedback(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
     cls_logits, boxes, quality, soft_masks = (np.concatenate(parts) for parts in zip(*chunks))
 
     class_ids, scores = _score_candidates(cls_logits, quality)
@@ -448,7 +444,6 @@ def infer(
                 soft_mask=soft,
             )
         )
-    predictions.sort(key=lambda pr: -pr.score)
     return predictions
 
 
@@ -487,7 +482,8 @@ def scene_loss(
     gradients flow through the pointwise heads, the aggregation stack, the
     candidate heads, and the mask decoder.
     """
-    feats, sem, point_boxes, fmask = _forward_pointwise(scene, model_vars, config, cache)
+    pointwise = _forward_pointwise(scene, model_vars, config, cache)
+    _, sem, point_boxes, _ = pointwise
     pt_terms = pointwise_terms(sem, point_boxes, scene)
 
     positions = scene.positions
@@ -498,22 +494,9 @@ def scene_loss(
     ad.record(foreground)
     stage1 = fps(positions, min(config.stage1_budget, int(foreground.sum())), candidate_filter=foreground)
     ad.record(stage1)
-    stage2_local = np.arange(min(config.k_train, stage1.size))
-    candidates = stage1[stage2_local]
-
-    encode = _candidate_encoder(model_vars, config, feats, positions, stage1)
-    cls_logits, boxes, kernels, quality = encode(stage2_local)
-
-    mask_logits = _decode_mask_logits(
-        fmask,
-        positions,
-        point_boxes,
-        positions[candidates],
-        point_boxes[candidates],
-        kernels,
-        config.kernel_layout(),
-        config.geo_cue,
-    )
+    stage = _candidate_stage(model_vars, config, pointwise, positions, stage1)
+    # bench/spans.py counts training's candidates as the first k_train stage-1 points.
+    cls_logits, boxes, quality, mask_logits = stage(np.arange(min(config.k_train, stage1.size)))
 
     targets = InstanceTargets.from_scene(scene)
     if targets.masks.shape[0] > 0:
@@ -526,7 +509,7 @@ def scene_loss(
         assignment = one_to_many_match(costs, DUPLICATION)
         ad.record(np.asarray(assignment.pairs))
     else:
-        assignment = Assignment((), tuple(range(candidates.size)), 1)
+        assignment = Assignment((), tuple(range(cls_logits.shape[0])), 1)
     preds = InstancePredictions(mask_logits, cls_logits, boxes, quality)
     inst_terms = instance_loss_terms(assignment, preds, targets)
 
@@ -563,7 +546,7 @@ def train(
             raise ValueError("scene class count does not match the config")
     model = ModelParams.initialize(config, seed)
     caches = [build_encoder_cache(scene, config) for scene in dataset]
-    optimizer = RmsProp(model.params, config.learning_rate, clip=config.grad_clip)
+    optimizer = RmsProp(model.params, config.learning_rate, clip=GRAD_CLIP)
     history: list[dict] = []
     for epoch in range(config.epochs):
         sums: dict[str, float] = {}

@@ -34,6 +34,7 @@ SUPERPOINT_VOXEL = 0.1  # superpoints are the occupied cells of this voxel grid
 # widest object, a 0.8 m slab; the cap keeps the background area and the
 # voxel ids of every coordinate finite.
 MIN_ROOM_SIDE, MAX_ROOM_SIDE = 1.4, 1000.0
+MIN_POINTS, MAX_POINTS = 64, 4096  # points per generated scene
 
 # Object classes: 1 crate (cube-ish box), 2 ball, 3 drum (cylinder),
 # 4 slab (wide flat box). Background is class 0.
@@ -61,10 +62,10 @@ class GenConfig:
     background_fraction: float = 0.45
 
     def __post_init__(self):
-        if self.num_scenes < 1 or self.points_per_scene < 64:
-            raise ValueError("need at least one scene of 64+ points")
-        if self.points_per_scene > 4096:
-            raise ValueError("points per scene capped at 4096")
+        if self.num_scenes < 1 or self.points_per_scene < MIN_POINTS:
+            raise ValueError(f"need at least one scene of {MIN_POINTS}+ points")
+        if self.points_per_scene > MAX_POINTS:
+            raise ValueError(f"points per scene capped at {MAX_POINTS}")
         if self.num_classes < 2 or self.num_classes > 5:
             raise ValueError("num_classes must lie in [2, 5]")
         if not (1 <= self.min_instances <= self.max_instances):

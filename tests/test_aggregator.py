@@ -9,7 +9,7 @@ from pciseg import aggregator, autodiff as ad
 from pciseg.aggregator import AggregatorBlock, aggregate_batch, ball_query, heads
 from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout
-from pciseg.pipeline import PipelineConfig, _candidate_encoder
+from pciseg.pipeline import PipelineConfig, _candidate_stage
 from pciseg.supervision import fd_gradient_check
 
 from conftest import ROW_KINDS, chained_aggregate, full_walk_aggregate_grads, upstream_with_zero_rows
@@ -44,20 +44,23 @@ def aggregate_at(block, feats, pts, centers):
 def stacked_features(feats, pts, stage1, local_idx, blocks):
     """Block-2 features at stage-1 rows ``local_idx``, through the pipeline.
 
-    Runs ``pipeline._candidate_encoder`` with the two blocks' weights and a
-    class head that copies the features through; the other heads are zero.
+    Runs ``pipeline._candidate_stage`` with the two blocks' weights and a
+    class head that copies the features through; the other heads, the mask
+    features and the point boxes are zero.
     """
     width = feats.shape[1]
     classes = max(width, 2)
+    config = PipelineConfig(radii=(blocks[0].radius, blocks[1].radius), num_neighbors=blocks[0].num_neighbors)
     p = {}
     for prefix, block in zip(("pa1", "pa2"), blocks):
         for i, (w, b) in enumerate(block.layers):
             p[f"{prefix}.w{i}"], p[f"{prefix}.b{i}"] = w, b
-    p |= make_heads(width, classes, 1)
+    p |= make_heads(width, classes, config.kernel_layout().param_count)
     p["head.cls_w"] = np.eye(width, classes)
-    config = PipelineConfig(radii=(blocks[0].radius, blocks[1].radius), num_neighbors=blocks[0].num_neighbors)
-    encode = _candidate_encoder(p, config, Var(feats), pts, np.asarray(stage1))
-    return encode(np.asarray(local_idx))[0].value[:, :width]
+    n = pts.shape[0]
+    pointwise = (Var(feats), None, Var(np.zeros((n, 6))), Var(np.zeros((n, config.mask_dim))))
+    stage = _candidate_stage(p, config, pointwise, pts, np.asarray(stage1))
+    return stage(np.asarray(local_idx))[0].value[:, :width]
 
 
 class TestBallQuery:

@@ -134,6 +134,7 @@ REMOVED_KEYS = [
     ("train", "loss_weights", {"gamma_mask": 5.0}),
     ("train", "decode_chunk", 96),
     ("train", "devoxelization", "late"),
+    ("train", "grad_clip", 5.0),
     ("generate", "noise_sigma", 0.01),
     ("generate", "superpoint_voxel", 0.1),
 ]
@@ -194,6 +195,33 @@ BAD_CONFIGS = [
     pytest.param("train", '{"layout_dims": []}', "invalid PipelineConfig: layout needs", id="train-empty-layout"),
     pytest.param("train", '{"chunk_sizes": []}', "invalid PipelineConfig: at least one chunk", id="train-empty-chunks"),
     pytest.param("train", None, "not a readable JSON file", id="train-missing-file"),
+    pytest.param("train", '{"batch_size": 0}', "invalid PipelineConfig: batch_size must be at least 1", id="train-no-batch"),
+    pytest.param(
+        "train", '{"batch_size": -1}', "invalid PipelineConfig: batch_size must be at least 1", id="train-negative-batch"
+    ),
+    pytest.param("train", '{"eval_every": 0}', "invalid PipelineConfig: eval_every must be at least 1", id="train-no-eval"),
+    pytest.param(
+        "train", '{"num_neighbors": 0}', "invalid PipelineConfig: num_neighbors must be at least 1", id="train-no-neighbors"
+    ),
+    pytest.param("train", '{"radii": [0, 0.4]}', "invalid PipelineConfig: radii must be", id="train-zero-radius"),
+    pytest.param("train", '{"radii": [0.2, -0.4]}', "invalid PipelineConfig: radii must be", id="train-negative-radius"),
+    pytest.param("train", '{"radii": [0.2, Infinity]}', "invalid PipelineConfig: radii must be", id="train-infinite-radius"),
+    pytest.param("train", '{"voxel_size": -1}', "invalid PipelineConfig: voxel_size must be", id="train-negative-voxel"),
+    pytest.param("train", '{"voxel_size": 0}', "invalid PipelineConfig: voxel_size must be", id="train-zero-voxel"),
+    pytest.param("train", '{"voxel_size": NaN}', "invalid PipelineConfig: voxel_size must be", id="train-nan-voxel"),
+    pytest.param(
+        "train", '{"learning_rate": NaN}', "invalid PipelineConfig: learning_rate must be", id="train-nan-learning-rate"
+    ),
+    pytest.param(
+        "train", '{"learning_rate": -1}', "invalid PipelineConfig: learning_rate must be", id="train-negative-learning-rate"
+    ),
+    pytest.param("train", '{"d_model": 0}', "invalid PipelineConfig: d_model must be at least 1", id="train-no-width"),
+    pytest.param(
+        "train",
+        '{"mask_dim": -8, "layout_dims": [1, 1]}',
+        "invalid PipelineConfig: mask_dim must be at least 1",
+        id="train-negative-mask-dim",
+    ),
 ]
 
 
@@ -209,6 +237,50 @@ def test_bad_config_file_exits_with_message(tmp_path, command, text, wanted):
     with pytest.raises(SystemExit, match=f"^{re.escape(str(cfg))}: {wanted}"):
         main(args)
     assert not (tmp_path / "out").exists()
+
+
+BAD_ARGUMENTS = [
+    ("train", "--val-fraction", "1.0"),
+    ("train", "--val-fraction", "-0.1"),
+    ("train", "--val-fraction", "nan"),
+    ("train", "--val-fraction", "half"),
+    ("recall-bench", "--budgets", "x"),
+    ("recall-bench", "--budgets", "0"),
+    ("recall-bench", "--budgets", "8,,16"),
+    ("recall-bench", "--scenes", "0"),
+    ("recall-bench", "--points", "5000"),
+    ("recall-bench", "--points", "63"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_ARGUMENTS, ids=[f"{c}{f}={v}" for c, f, v in BAD_ARGUMENTS])
+def test_bad_argument_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    args = [command, flag, value]
+    if command == "train":
+        args += ["--data", str(tmp_path), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fraction, held_out", [("0", 0), ("0.15", 1), ("0.99", 5)])
+def test_val_fraction_holds_out_trailing_scenes(tmp_path, scene_dir, monkeypatch, fraction, held_out):
+    # 0 trains on every scene without validation; any other fraction holds out at least one
+    # scene and keeps at least one for training.
+    from pciseg import pipeline
+
+    seen = {}
+
+    def recording_train(scenes, config, seed, val):
+        seen.update(train=len(scenes), val=val)
+        return pipeline.ModelParams.initialize(config, seed), []
+
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    assert main(["train", "--data", str(scene_dir), "--out", str(tmp_path / "run"), "--val-fraction", fraction]) == 0
+    assert seen["train"] == 6 - held_out
+    assert (seen["val"] is None) if held_out == 0 else len(seen["val"]) == held_out
 
 
 def test_readme_lists_the_accepted_config_keys():

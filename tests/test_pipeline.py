@@ -109,7 +109,7 @@ class TestConfig:
             PipelineConfig(**{name: self.CONSTANTS[name]})
 
     def test_settable_field_counts(self):
-        assert len(dataclasses.fields(PipelineConfig)) == 16
+        assert len(dataclasses.fields(PipelineConfig)) == 15
         assert len(dataclasses.fields(GenConfig)) == 9
 
 
@@ -311,6 +311,63 @@ class TestInfer:
         assert decoded_widths == {two_cluster_scene.num_points}
         assert decode_calls == [4, 3, len(candidates) - 7]
 
+    def test_candidate_stage_same_bytes_on_and_off_the_tape(self, two_cluster_scene):
+        # Training records the tape from trainable leaves; inference passes plain values.
+        config = tiny_config()
+        model = ModelParams.initialize(config, 3)
+        positions = two_cluster_scene.positions
+        stage1 = pipeline.fps(positions, 12)
+        outs = []
+        for p in (model.as_vars(), model.as_vars(trainable=True)):
+            pointwise = _forward_pointwise(two_cluster_scene, p, config, None)
+            outs.append(pipeline._candidate_stage(p, config, pointwise, positions, stage1)(np.array([0, 3, 5, 7])))
+        assert [v.requires_grad for v in outs[1]] == [True] * 4
+        assert [v.shape for v in outs[1]] == [(4, 5), (4, 6), (4,), (4, 16)]
+        assert [v.value.tobytes() for v in outs[0]] == [v.value.tobytes() for v in outs[1]]
+
+    @pytest.mark.parametrize("run", ["infer", "scene_loss"])
+    def test_decoder_reached_only_through_the_candidate_stage(self, two_cluster_scene, run, monkeypatch):
+        config = tiny_config(stage1_budget=12, chunk_sizes=(4, 3, 2))
+        model = ModelParams.initialize(config, 1)
+        positions = two_cluster_scene.positions
+        sample, make_stage, decode = pipeline.fps, pipeline._candidate_stage, pipeline._decode_mask_logits
+        stage1s, inside, wanted, decoded = [], [], [], []
+
+        def recording_fps(*args, **kwargs):
+            stage1s.append(sample(*args, **kwargs))
+            return stage1s[-1]
+
+        def spying_stage(*args):
+            stage = make_stage(*args)
+
+            def spied(local_idx):
+                wanted.append(positions[stage1s[-1][local_idx]])
+                inside.append(True)
+                try:
+                    return stage(local_idx)
+                finally:
+                    inside.pop()
+
+            return spied
+
+        def spying_decode(fmask, point_positions, point_boxes, cand_positions, *rest):
+            assert inside, "mask decoded outside the candidate stage"
+            assert point_positions is positions
+            decoded.append(cand_positions)
+            return decode(fmask, point_positions, point_boxes, cand_positions, *rest)
+
+        monkeypatch.setattr(pipeline, "fps", recording_fps)
+        monkeypatch.setattr(pipeline, "_candidate_stage", spying_stage)
+        monkeypatch.setattr(pipeline, "_decode_mask_logits", spying_decode)
+        if run == "infer":
+            infer(two_cluster_scene, model, config)
+        else:
+            scene_loss(two_cluster_scene, model.as_vars(trainable=True), config)
+        assert len(stage1s) == 1
+        assert len(decoded) == len(wanted) == (3 if run == "infer" else 1)
+        for got, want in zip(decoded, wanted):
+            assert np.array_equal(got, want)
+
     def test_early_late_full_pipeline_identical(self, two_cluster_scene, monkeypatch):
         model = ModelParams.initialize(tiny_config(), 5)
         config = tiny_config(voxel_size=0.08)
@@ -355,7 +412,7 @@ class TestTraining:
 
     def test_divergence_aborts_with_diagnostic(self):
         scenes = generate(GenConfig(num_scenes=1, points_per_scene=256, seed=9))
-        config = tiny_config(learning_rate=1e12, epochs=10, batch_size=1, grad_clip=0.0)
+        config = tiny_config(learning_rate=1e12, epochs=10, batch_size=1)
         with pytest.raises(RuntimeError, match="non-finite"):
             with np.errstate(all="ignore"):
                 train(scenes, config, seed=2)
