@@ -59,8 +59,8 @@ def ball_query(
 class AggregatorBlock:
     """One aggregation block: query radius, neighbor count, shared map.
 
-    ``layers`` holds three (weight, bias) pairs with widths
-    (D+3)->D->D->D; ReLU follows the first two maps only.
+    ``layers`` holds three (weight, bias) pairs of tape variables with
+    widths (D+3)->D->D->D; ReLU follows the first two maps only.
     """
 
     radius: float
@@ -115,8 +115,7 @@ def aggregate_batch(
     features: (M, D) source features; centers: (K,) indices into the source
     set; neighbors: (K, Q) indices from :func:`ball_query` with the block's
     radius. Offsets are divided by the radius, so every coordinate lies in
-    [-1, 1] for genuine in-radius neighbors. Returns (K, D). The layers may
-    be arrays or tape variables.
+    [-1, 1] for genuine in-radius neighbors. Returns (K, D).
 
     The shared map and the max over neighbours are one tape op. It walks
     the centres in chunks of ``CHUNK_CENTERS`` through one (c, Q, D+3)
@@ -149,11 +148,10 @@ def aggregate_batch(
     k_count, q = centers.shape[0], block.num_neighbors
     if neighbors.shape != (k_count, q):
         raise ValueError("neighbors must be (K, Q)")
-    features = ad.as_var(features)
     m, d = features.shape
     if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= m):
         raise ValueError("neighbors must index the source rows")
-    layers = [ad.as_var(t) for pair in block.layers for t in pair]
+    layers = [t for pair in block.layers for t in pair]
     weights, biases = [w.value for w in layers[0::2]], [b.value for b in layers[1::2]]
     parents = (features, *layers)
     keep = any(p.requires_grad for p in parents)

@@ -65,6 +65,14 @@ def _load_dataclass(cls, path: str | None):
         raise SystemExit(f"{path}: invalid {cls.__name__}: {exc}") from None
 
 
+def _named(path, fn, *args):
+    """``fn(*args)``; a ``ValueError`` exits with its message after ``path``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+
+
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field type; ints count as floats, bools as neither."""
     args = typing.get_args(hint)
@@ -148,7 +156,7 @@ def cmd_recall_bench(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_dataclass(pipeline.PipelineConfig, args.config)
-    scenes = [scenegen.read_scene(path) for path in _scene_files(Path(args.data))]
+    scenes = [_named(path, scenegen.read_scene, path) for path in _scene_files(Path(args.data))]
     # A nonzero fraction holds out at least one scene and trains on at least one.
     n_val = min(len(scenes) - 1, max(1, round(len(scenes) * args.val_fraction))) if args.val_fraction else 0
     train_scenes = scenes[: len(scenes) - n_val] if n_val else scenes
@@ -167,8 +175,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    model = pipeline.load_model(args.model)
-    scene = scenegen.read_scene(args.scene)
+    model = _named(args.model, pipeline.load_model, args.model)
+    scene = _named(args.scene, scenegen.read_scene, args.scene)
     predictions = pipeline.infer(scene, model)
     scenegen.write_predictions(args.out, predictions, scene.num_points)
     logger.info("wrote %d predictions to %s", len(predictions), args.out)
@@ -182,13 +190,13 @@ def cmd_eval(args) -> int:
         pred_path = Path(args.pred_dir) / (path.stem + ".pred")
         if not pred_path.exists():
             raise SystemExit(f"missing predictions for {path.stem}")
-        scene = scenegen.read_scene(path)
-        preds, n = scenegen.read_predictions(pred_path)
+        scene = _named(path, scenegen.read_scene, path)
+        preds, n = _named(pred_path, scenegen.read_predictions, pred_path)
         if n != scene.num_points:
             raise SystemExit(f"prediction point count mismatch for {path.stem}")
         scenes.append(scene)
         predictions.append(preds)
-    report = evaluate(predictions, scenes)
+    report = _named(args.pred_dir, evaluate, predictions, scenes)
     print(json.dumps(report.as_dict() | {"per_class": report.per_class}, indent=2, sort_keys=True))
     if args.csv:
         metric_names = sorted(next(iter(report.per_class.values())))

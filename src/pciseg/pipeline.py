@@ -39,7 +39,6 @@ from .sampling import TAU, SampleBudget, fps, ia_fps_infer
 from .scenegen import read_exact
 from .supervision import (
     Assignment,
-    InstancePredictions,
     InstanceTargets,
     LossReport,
     instance_loss_terms,
@@ -54,6 +53,8 @@ ENCODER_KNN = 16
 ENCODER_INPUT_DIM = 18
 DUPLICATION = 4  # candidates that matching may assign to one ground-truth instance
 GRAD_CLIP = 5.0  # global gradient-norm bound of each training step
+RMS_DECAY = 0.9  # decay of the squared-gradient average
+RMS_EPS = 1e-8  # added to the root of that average before dividing
 
 MODEL_MAGIC = b"PCMODEL\x00"
 MODEL_VERSION = 1
@@ -448,26 +449,23 @@ def infer(
 
 
 class RmsProp:
-    """Momentum-free adaptive step with global-norm gradient clipping."""
+    """Momentum-free adaptive step; gradients whose global norm exceeds
+    ``GRAD_CLIP`` are scaled down to it first."""
 
-    def __init__(self, params: dict, lr: float, decay: float = 0.9, eps: float = 1e-8, clip: float = 0.0):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.decay = decay
-        self.eps = eps
-        self.clip = clip
         self.accum = {name: np.zeros_like(value) for name, value in params.items()}
 
     def step(self, grads: dict) -> None:
-        if self.clip > 0.0:
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if norm > self.clip:
-                grads = {name: g * (self.clip / norm) for name, g in grads.items()}
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > GRAD_CLIP:
+            grads = {name: g * (GRAD_CLIP / norm) for name, g in grads.items()}
         for name, g in grads.items():
             acc = self.accum[name]
-            acc *= self.decay
-            acc += (1.0 - self.decay) * g * g
-            self.params[name] -= self.lr * g / (np.sqrt(acc) + self.eps)
+            acc *= RMS_DECAY
+            acc += (1.0 - RMS_DECAY) * g * g
+            self.params[name] -= self.lr * g / (np.sqrt(acc) + RMS_EPS)
 
 
 def scene_loss(
@@ -484,7 +482,8 @@ def scene_loss(
     """
     pointwise = _forward_pointwise(scene, model_vars, config, cache)
     _, sem, point_boxes, _ = pointwise
-    pt_terms = pointwise_terms(sem, point_boxes, scene)
+    targets = InstanceTargets.from_scene(scene)
+    pt_terms = pointwise_terms(sem, point_boxes, scene, targets.boxes)
 
     positions = scene.positions
     foreground = _foreground(sem)
@@ -498,7 +497,6 @@ def scene_loss(
     # bench/spans.py counts training's candidates as the first k_train stage-1 points.
     cls_logits, boxes, quality, mask_logits = stage(np.arange(min(config.k_train, stage1.size)))
 
-    targets = InstanceTargets.from_scene(scene)
     if targets.masks.shape[0] > 0:
         costs = matching_cost_matrix(
             expit(mask_logits.value),
@@ -509,9 +507,8 @@ def scene_loss(
         assignment = one_to_many_match(costs, DUPLICATION)
         ad.record(np.asarray(assignment.pairs))
     else:
-        assignment = Assignment((), tuple(range(cls_logits.shape[0])), 1)
-    preds = InstancePredictions(mask_logits, cls_logits, boxes, quality)
-    inst_terms = instance_loss_terms(assignment, preds, targets)
+        assignment = Assignment((), 1)
+    inst_terms = instance_loss_terms(assignment, mask_logits, cls_logits, boxes, quality, targets)
 
     total = ad.add(pt_terms["total"], inst_terms["total"])
     values = {
@@ -546,7 +543,7 @@ def train(
             raise ValueError("scene class count does not match the config")
     model = ModelParams.initialize(config, seed)
     caches = [build_encoder_cache(scene, config) for scene in dataset]
-    optimizer = RmsProp(model.params, config.learning_rate, clip=GRAD_CLIP)
+    optimizer = RmsProp(model.params, config.learning_rate)
     history: list[dict] = []
     for epoch in range(config.epochs):
         sums: dict[str, float] = {}
@@ -563,8 +560,7 @@ def train(
                     if leaf.grad is not None:
                         grads[name] += leaf.grad
                 for key, value in vars(report).items():
-                    if isinstance(value, float):
-                        sums[key] = sums.get(key, 0.0) + value
+                    sums[key] = sums.get(key, 0.0) + value
                 sums["total"] = sums.get("total", 0.0) + report.total
             scale = 1.0 / len(batch)
             optimizer.step({name: g * scale for name, g in grads.items()})

@@ -216,10 +216,15 @@ def oracle_mask_provider(scene: Scene) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def split_budget(total: int, pattern: Sequence[int] = (192, 128, 64)) -> SampleBudget:
-    """Scale a chunk pattern to a new total, preserving proportions."""
+    """Scale a chunk pattern to a new total, preserving proportions.
+
+    A total below the pattern's chunk count gets that many chunks of 1.
+    """
     total = int(total)
     if total < 1:
         raise ValueError("total must be positive")
+    if total < len(pattern):
+        return SampleBudget((1,) * total)
     pattern = np.asarray(pattern, dtype=np.float64)
     raw = pattern / pattern.sum() * total
     sizes = np.floor(raw).astype(int)

@@ -35,12 +35,10 @@ class Assignment:
     """Candidate-to-ground-truth pairs under an S-fold duplication cap."""
 
     pairs: tuple
-    unmatched: tuple
     duplication: int
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple((int(k), int(j)) for k, j in self.pairs))
-        object.__setattr__(self, "unmatched", tuple(int(k) for k in self.unmatched))
         if self.duplication < 1:
             raise ValueError("duplication must be at least 1")
         cands = [k for k, _ in self.pairs]
@@ -95,8 +93,7 @@ def one_to_many_match(cost: np.ndarray, duplication: int) -> Assignment:
     tiled = np.repeat(cost, duplication, axis=1)
     rows, cols = linear_sum_assignment(tiled)
     pairs = sorted((int(r), int(c) // duplication) for r, c in zip(rows, cols))
-    unmatched = sorted(set(range(cost.shape[0])) - {k for k, _ in pairs})
-    return Assignment(tuple(pairs), tuple(unmatched), duplication)
+    return Assignment(tuple(pairs), duplication)
 
 
 def dice_term(probs: Var, gt: np.ndarray) -> Var:
@@ -162,20 +159,6 @@ def mask_scoring(quality_logits: Var, target_iou: np.ndarray) -> Var:
 
 
 @dataclass
-class InstancePredictions:
-    """Per-candidate predictions entering the instance loss, on the tape.
-
-    ``class_logits`` columns enumerate the instance classes followed by one
-    trailing no-object column; ``mask_logits`` are raw decoder outputs.
-    """
-
-    mask_logits: Var
-    class_logits: Var
-    boxes: Var
-    quality_logits: Var
-
-
-@dataclass
 class InstanceTargets:
     """Ground-truth instances: binary masks, class columns, and boxes."""
 
@@ -200,17 +183,21 @@ class InstanceTargets:
 
 def instance_loss_terms(
     assignment: Assignment,
-    preds: InstancePredictions,
+    mask_logits: Var,
+    class_logits: Var,
+    boxes: Var,
+    quality_logits: Var,
     targets: InstanceTargets,
 ) -> dict[str, Var]:
     """Instance-loss components as tape variables.
 
-    Classification covers every candidate, with unmatched ones pushed
-    toward the trailing no-object class at reduced weight. Mask, box, and
-    mask-scoring terms average over the matched pairs and vanish when
-    nothing is matched.
+    The per-candidate predictions are on the tape: ``class_logits`` columns
+    enumerate the instance classes followed by one trailing no-object
+    column, and ``mask_logits`` are raw decoder outputs. Classification
+    covers every candidate, with unmatched ones pushed toward the no-object
+    class at reduced weight. Mask, box, and mask-scoring terms average over
+    the matched pairs and vanish when nothing is matched.
     """
-    class_logits = preds.class_logits
     k = class_logits.shape[0]
     no_object = class_logits.shape[1] - 1
 
@@ -224,12 +211,12 @@ def instance_loss_terms(
 
     if cands.size:
         gts = assignment.matched_targets
-        pair_logits = preds.mask_logits[cands]
+        pair_logits = mask_logits[cands]
         gt_masks = targets.masks[gts].astype(np.float64)
         probs = ad.sigmoid(pair_logits)
         terms["mask"] = ad.mean(dice_term(probs, gt_masks)) + bce_with_logits(pair_logits, gt_masks)
 
-        pair_boxes = preds.boxes[cands]
+        pair_boxes = boxes[cands]
         gt_boxes = targets.boxes[gts]
         terms["box"] = ad.mean(box_l1(pair_boxes, gt_boxes) + (1.0 - box_giou(pair_boxes, gt_boxes)))
 
@@ -238,7 +225,7 @@ def instance_loss_terms(
         realized = np.asarray(
             [mask_iou(hard[row], targets.masks[gts[row]]) for row in range(cands.size)]
         )
-        terms["ms"] = mask_scoring(preds.quality_logits[cands], realized)
+        terms["ms"] = mask_scoring(quality_logits[cands], realized)
     else:
         terms["mask"] = Var(0.0)
         terms["box"] = Var(0.0)
@@ -254,19 +241,18 @@ def pointwise_terms(
     semantic_logits: Var,
     point_boxes: Var,
     scene: Scene,
+    gt_boxes: np.ndarray,
 ) -> dict[str, Var]:
     """Pointwise semantic cross-entropy plus per-point box regression.
 
     The box term covers only points carrying an instance label; each such
-    point regresses its instance's tight box with summed-L1 plus one minus
-    generalized IoU.
+    point regresses its instance's tight box, row ``j`` of the (J, 6)
+    ``gt_boxes`` (:attr:`InstanceTargets.boxes`), with summed-L1 plus one
+    minus generalized IoU.
     """
     terms = {"semantic": cross_entropy(semantic_logits, scene.semantic_gt.astype(np.int64))}
     inst_points = np.flatnonzero(scene.instance_gt >= 0)
     if inst_points.size:
-        gt_boxes = np.stack(
-            [scene.instance_box(j).to_vector() for j in range(scene.num_instances)]
-        )
         per_point_gt = gt_boxes[scene.instance_gt[inst_points]]
         pred = point_boxes[inst_points]
         terms["point_box"] = ad.mean(box_l1(pred, per_point_gt) + (1.0 - box_giou(pred, per_point_gt)))

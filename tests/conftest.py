@@ -140,7 +140,7 @@ def full_walk_aggregate_grads(block, features, positions, centers, neighbors, g)
     offsets = (positions[neighbors] - positions[centers][:, None, :]) / block.radius
     acts = [np.concatenate([features[neighbors], offsets], axis=2)]
     for layer, (w, b) in enumerate(block.layers):
-        h = acts[-1] @ w + b
+        h = acts[-1] @ w.value + b.value
         acts.append(np.maximum(h, 0.0) if layer < 2 else h)
     g_out = np.zeros(acts[3].shape)
     np.put_along_axis(g_out, acts[3].argmax(axis=1)[:, None, :], g[:, None, :], axis=1)
@@ -150,7 +150,7 @@ def full_walk_aggregate_grads(block, features, positions, centers, neighbors, g)
             g_out = g_out * (acts[layer + 1] > 0.0)
         weight_grad = (np.swapaxes(acts[layer], 1, 2) @ g_out).sum(axis=0)
         layer_grads = [weight_grad, g_out.reshape(-1, d).sum(axis=0), *layer_grads]
-        g_out = g_out @ block.layers[layer][0].T
+        g_out = g_out @ block.layers[layer][0].value.T
     return (ad.scatter_rows(neighbors, g_out[..., :d], m), *layer_grads)
 
 

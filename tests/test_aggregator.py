@@ -15,6 +15,11 @@ from pciseg.supervision import fd_gradient_check
 from conftest import ROW_KINDS, chained_aggregate, full_walk_aggregate_grads, upstream_with_zero_rows
 
 
+def tape_block(radius, q, layers):
+    """A block whose (weight, bias) arrays are wrapped as tape constants."""
+    return AggregatorBlock(radius, q, tuple((Var(w), Var(b)) for w, b in layers))
+
+
 def ones_block(radius, q, width=1):
     """Layers composing to the all-ones single linear map used by the
     hand-computed cases (identity second and third layers)."""
@@ -23,7 +28,7 @@ def ones_block(radius, q, width=1):
         (np.eye(width), np.zeros(width)),
         (np.eye(width), np.zeros(width)),
     )
-    return AggregatorBlock(radius, q, layers)
+    return tape_block(radius, q, layers)
 
 
 def zero_block(radius, q, width):
@@ -32,7 +37,7 @@ def zero_block(radius, q, width):
         (np.zeros((width, width)), np.zeros(width)),
         (np.zeros((width, width)), np.zeros(width)),
     )
-    return AggregatorBlock(radius, q, layers)
+    return tape_block(radius, q, layers)
 
 
 def aggregate_at(block, feats, pts, centers):
@@ -134,7 +139,7 @@ class TestLocalAggregate:
             (rng.normal(size=(width, width)), rng.normal(size=width)),
             (rng.normal(size=(width, width)), rng.normal(size=width)),
         )
-        block = AggregatorBlock(0.4, 2, layers)
+        block = tape_block(0.4, 2, layers)
         feats = rng.normal(size=(1, width))
         pts = np.zeros((1, 3))
         out = aggregate_batch(block, Var(feats), pts, np.array([0]), np.array([[0, 0]])).value[0]
@@ -208,7 +213,7 @@ class TestPaStack:
             (rng.normal(size=(2, 2)), rng.normal(size=2)),
             (rng.normal(size=(2, 2)), rng.normal(size=2)),
         )
-        block = AggregatorBlock(0.5, 4, layers)
+        block = tape_block(0.5, 4, layers)
         centers = np.array([3, 8])
         out = aggregate_at(block, feats, pts, centers)
         perm = rng.permutation(15)
@@ -226,7 +231,7 @@ def random_case(k, width=32, q=32, m=400, seed=0):
         (rng.normal(size=(c_in, width)) / np.sqrt(c_in), rng.normal(size=width) * 0.3)
         for c_in in (width + 3, width, width)
     )
-    block = AggregatorBlock(0.3, q, layers)
+    block = tape_block(0.3, q, layers)
     pts = rng.random((m, 3)) * [2.0, 2.0, 0.5]
     feats = rng.normal(size=(m, width))
     centers = rng.choice(m, k, replace=k > m)
@@ -236,9 +241,8 @@ def random_case(k, width=32, q=32, m=400, seed=0):
 
 
 def as_parameters(block):
-    return AggregatorBlock(
-        block.radius, block.num_neighbors, tuple((ad.parameter(w), ad.parameter(b)) for w, b in block.layers)
-    )
+    layers = tuple((ad.parameter(w.value), ad.parameter(b.value)) for w, b in block.layers)
+    return AggregatorBlock(block.radius, block.num_neighbors, layers)
 
 
 class TestFusedAggregation:
@@ -270,7 +274,8 @@ class TestFusedAggregation:
     @pytest.mark.parametrize("k, width, q", [(5, 4, 6), (33, 2, 3)])
     def test_gradients_match_finite_differences(self, k, width, q):
         block, feats, pts, centers, nbrs = random_case(k, width=width, q=q, m=40, seed=3)
-        params = {"f": feats} | {f"{kind}{i}": v for i, pair in enumerate(block.layers) for kind, v in zip("wb", pair)}
+        params = {"f": feats}
+        params |= {f"{kind}{i}": v.value for i, pair in enumerate(block.layers) for kind, v in zip("wb", pair)}
 
         def loss(p):
             layers = tuple((p[f"w{i}"], p[f"b{i}"]) for i in range(3))
@@ -286,7 +291,7 @@ class TestFusedAggregation:
         pts = np.zeros((3, 3))
 
         def digest(f1, f2):
-            feats = np.array([[0.0], [f1], [f2]])
+            feats = Var(np.array([[0.0], [f1], [f2]]))
             return ad.capture_signature(lambda: aggregate_batch(block, feats, pts, np.array([0]), np.array([[1, 2]])))[1]
 
         base = digest(2.0, 1.0)
@@ -297,7 +302,7 @@ class TestFusedAggregation:
     def test_out_of_range_neighbours_rejected(self):
         block = zero_block(0.5, 2, width=2)
         with pytest.raises(ValueError, match="source rows"):
-            aggregate_batch(block, np.zeros((3, 2)), np.zeros((3, 3)), np.array([0]), np.array([[0, 3]]))
+            aggregate_batch(block, Var(np.zeros((3, 2))), np.zeros((3, 3)), np.array([0]), np.array([[0, 3]]))
 
     def test_inference_memory_stays_within_chunks(self):
         # The chain held about 6.7 MB of (K, Q, ·) arrays for this call; the
@@ -340,7 +345,7 @@ class TestZeroRowSkip:
         k, m = len(kinds), 12
         rng = np.random.default_rng(seed)
         layers = tuple((rng.normal(size=(c_in, width)), rng.normal(size=width)) for c_in in (width + 3, width, width))
-        block = AggregatorBlock(0.5, q, layers)
+        block = tape_block(0.5, q, layers)
         feats, pts = rng.normal(size=(m, width)), rng.random((m, 3))
         centers, nbrs = rng.integers(0, m, k), rng.integers(0, m, (k, q))
         g = upstream_with_zero_rows(kinds, width, seed)

@@ -9,7 +9,9 @@ import pytest
 
 from pciseg.cli import main
 from pciseg.pipeline import PipelineConfig
-from pciseg.scenegen import GenConfig, read_predictions, read_scene
+from pciseg.scenegen import GenConfig, read_predictions, read_scene, write_predictions, write_scene
+
+from conftest import toy_scene
 
 
 @pytest.fixture
@@ -113,6 +115,43 @@ def test_eval_ap_only(tmp_path, scene_dir, capsys):
     assert report["mCov"] == report["mRec50"] == 0.0
     with pytest.raises(SystemExit):  # the full report is the only one
         main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(scene_dir), "--metrics", "ap"])
+
+
+def test_bad_model_file_exits_naming_it(tmp_path, scene_dir):
+    model = tmp_path / "model.bin"
+    model.write_bytes(b"not a model at all")
+    scene = next(scene_dir.glob("*.scene"))
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(model))}: not a model file"):
+        main(["infer", "--model", str(model), "--scene", str(scene), "--out", str(tmp_path / "out.pred")])
+
+
+def test_truncated_scene_exits_naming_it(tmp_path, scene_dir):
+    scene = tmp_path / "cut.scene"
+    scene.write_bytes(next(scene_dir.glob("*.scene")).read_bytes()[:100])
+    model = Path(__file__).resolve().parents[1] / "bench" / "model.bin"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(scene))}: truncated"):
+        main(["infer", "--model", str(model), "--scene", str(scene), "--out", str(tmp_path / "out.pred")])
+
+
+def test_truncated_predictions_exit_naming_them(tmp_path, scene_dir):
+    pred_dir = tmp_path / "preds"
+    pred_dir.mkdir()
+    for scene_path in sorted(scene_dir.glob("*.scene")):
+        write_predictions(pred_dir / (scene_path.stem + ".pred"), [], read_scene(scene_path).num_points)
+    cut = sorted(pred_dir.glob("*.pred"))[-1]
+    cut.write_bytes(cut.read_bytes()[:-1])
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(cut))}: "):
+        main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(scene_dir)])
+
+
+def test_nothing_to_evaluate_exits_naming_the_predictions(tmp_path):
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "preds"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    write_scene(gt_dir / "empty.scene", toy_scene([[0.0, 0, 0], [1.0, 0, 0]], [0, 0], [-1, -1]))
+    write_predictions(pred_dir / "empty.pred", [], 2)
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(pred_dir))}: nothing to evaluate"):
+        main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir)])
 
 
 def test_unknown_config_key_rejected(tmp_path):

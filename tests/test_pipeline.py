@@ -9,7 +9,10 @@ from pciseg import autodiff as ad
 from pciseg import dynconv, pipeline
 from pciseg.core import BINARIZE_THRESHOLD, mask_iou
 from pciseg.pipeline import (
+    GRAD_CLIP,
     MODEL_MAGIC,
+    RMS_DECAY,
+    RMS_EPS,
     ModelParams,
     PipelineConfig,
     RmsProp,
@@ -433,11 +436,18 @@ class TestTraining:
         assert grads and all(np.all(np.isfinite(g)) for g in grads)
 
     def test_rmsprop_clip_and_step(self):
+        lr = 0.1
         params = {"w": np.array([1.0, 1.0])}
-        opt = RmsProp(params, lr=0.1, decay=0.5, eps=1e-8, clip=1.0)
-        opt.step({"w": np.array([30.0, 40.0])})  # norm 50 -> clipped to 1
-        assert np.all(params["w"] < 1.0)
-        assert np.all(params["w"] > 0.7)
+        opt = RmsProp(params, lr=lr)
+        acc, want = np.zeros(2), params["w"].copy()
+        big = np.array([30.0, 40.0])  # norm 50: scaled down to GRAD_CLIP
+        small = np.array([0.3, -0.4])  # norm 0.5: applied as it is
+        for g, applied in ((big, big * (GRAD_CLIP / 50.0)), (small, small)):
+            opt.step({"w": g})
+            acc *= RMS_DECAY
+            acc += (1.0 - RMS_DECAY) * applied * applied
+            want -= lr * applied / (np.sqrt(acc) + RMS_EPS)
+            assert params["w"].tobytes() == want.tobytes()
 
     def test_gradient_report(self, two_cluster_scene):
         config = tiny_config()

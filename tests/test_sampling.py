@@ -354,7 +354,7 @@ class TestRecallOrdering:
 
 class TestBudget:
     def test_split_budget_preserves_total(self):
-        for total in (5, 32, 64, 128, 384):
+        for total in (1, 2, 5, 32, 64, 128, 384):
             assert split_budget(total).total == total
 
     def test_default_pattern(self):

@@ -15,7 +15,6 @@ from pciseg.supervision import (
     LAMBDA_MS,
     LOG_EPS,
     Assignment,
-    InstancePredictions,
     InstanceTargets,
     LossReport,
     bce_with_logits,
@@ -103,13 +102,11 @@ class TestOneToManyMatch:
     def test_diagonal(self):
         assignment = one_to_many_match(np.array([[0.0, 5.0], [5.0, 0.0]]), 1)
         assert assignment.pairs == ((0, 0), (1, 1))
-        assert assignment.unmatched == ()
 
     def test_three_candidates_one_gt_duplicated_twice(self):
         cost = np.array([[1.0], [2.0], [3.0]])
         assignment = one_to_many_match(cost, 2)
         assert {k for k, _ in assignment.pairs} == {0, 1}
-        assert assignment.unmatched == (2,)
         total = assignment_cost(assignment, cost)
         assert total == pytest.approx(3.0)
         assert total == pytest.approx(brute_force_min_cost(cost, 2))
@@ -130,7 +127,6 @@ class TestOneToManyMatch:
         cost = np.zeros((5, 1))
         assignment = one_to_many_match(cost, 3)
         assert len(assignment.pairs) == 3
-        assert len(assignment.unmatched) == 2
 
     def test_nonfinite_cost_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -138,18 +134,19 @@ class TestOneToManyMatch:
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
-            Assignment(((0, 0), (0, 1)), (), 1)  # candidate reused
+            Assignment(((0, 0), (0, 1)), 1)  # candidate reused
         with pytest.raises(ValueError):
-            Assignment(((0, 0), (1, 0)), (), 1)  # multiplicity above cap
+            Assignment(((0, 0), (1, 0)), 1)  # multiplicity above cap
 
 
 def perfect_predictions(gt_masks, gt_classes, gt_boxes, num_columns):
+    """Mask logits, class logits, boxes and quality logits on the tape."""
     k = gt_masks.shape[0]
     mask_logits = np.where(gt_masks, 40.0, -40.0)
     class_logits = np.full((k, num_columns), -40.0)
     class_logits[np.arange(k), gt_classes] = 40.0
     quality = np.full(k, logit(1.0 - 1e-12))  # realized IoU is exactly 1
-    return InstancePredictions(Var(mask_logits), Var(class_logits), Var(gt_boxes), Var(quality))
+    return Var(mask_logits), Var(class_logits), Var(gt_boxes), Var(quality)
 
 
 class TestInstanceLoss:
@@ -164,8 +161,8 @@ class TestInstanceLoss:
 
     def test_perfect_prediction_zero_loss(self):
         preds = perfect_predictions(self.gt_masks, self.gt_classes, self.gt_boxes, 4)
-        assignment = Assignment(((0, 0), (1, 1)), (), 1)
-        terms = instance_loss_terms(assignment, preds, self.targets)
+        assignment = Assignment(((0, 0), (1, 1)), 1)
+        terms = instance_loss_terms(assignment, *preds, self.targets)
         assert float(terms["total"].value) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_pair_dice_half_plus_bce(self):
@@ -185,9 +182,9 @@ class TestInstanceLoss:
         boxes = self.gt_boxes[:1].copy()
         realized = mask_iou(binarize(probs), gt)
         quality = np.array([float(logit(np.clip(realized, 1e-12, 1 - 1e-12)))])
-        preds = InstancePredictions(Var(masks), Var(cls), Var(boxes), Var(quality))
+        preds = Var(masks), Var(cls), Var(boxes), Var(quality)
         targets = InstanceTargets(gt[None], np.array([0]), boxes)
-        terms = instance_loss_terms(Assignment(((0, 0),), (), 1), preds, targets)
+        terms = instance_loss_terms(Assignment(((0, 0),), 1), *preds, targets)
         assert float(terms["mask"].value) == pytest.approx(dice + bce, abs=1e-9)
         assert float(terms["total"].value) == pytest.approx(LAMBDA_MASK * (dice + bce), abs=1e-7)
 
@@ -213,8 +210,8 @@ class TestInstanceLoss:
 
     def test_unmatched_only_keeps_cls_term(self):
         preds = perfect_predictions(self.gt_masks, self.gt_classes, self.gt_boxes, 4)
-        assignment = Assignment((), (0, 1), 1)
-        terms = instance_loss_terms(assignment, preds, self.targets)
+        assignment = Assignment((), 1)
+        terms = instance_loss_terms(assignment, *preds, self.targets)
         assert float(terms["mask"].value) == 0.0
         assert float(terms["box"].value) == 0.0
         assert float(terms["ms"].value) == 0.0
@@ -260,18 +257,19 @@ class TestPointwiseLoss:
         logits = np.full((8, 3), -40.0)
         logits[:, 1] = 40.0
         boxes = np.tile(np.array([0.0, 0, 0, 1.0, 1.0, 1.0]), (8, 1))
-        terms = pointwise_terms(Var(logits), Var(boxes), scene)
+        terms = pointwise_terms(Var(logits), Var(boxes), scene, InstanceTargets.from_scene(scene).boxes)
         assert float(terms["total"].value) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_logits_cross_entropy(self):
         scene = toy_scene([[0.0, 0, 0], [1.0, 0, 0]], [0, 0], [-1, -1], num_classes=4)
-        terms = pointwise_terms(Var(np.zeros((2, 4))), Var(np.zeros((2, 6))), scene)
+        gt_boxes = InstanceTargets.from_scene(scene).boxes
+        terms = pointwise_terms(Var(np.zeros((2, 4))), Var(np.zeros((2, 6))), scene, gt_boxes)
         assert float(terms["total"].value) == pytest.approx(np.log(4.0))
 
     def test_background_only_scene_has_zero_box_term(self):
         scene = toy_scene([[0.0, 0, 0]], [0], [-1], num_classes=2)
         logits, boxes = ad.parameter(np.zeros((1, 2))), ad.parameter(np.zeros((1, 6)))
-        total = pointwise_terms(logits, boxes, scene)["total"]
+        total = pointwise_terms(logits, boxes, scene, InstanceTargets.from_scene(scene).boxes)["total"]
         ad.backward(total)
         assert float(total.value) == pytest.approx(np.log(2.0))
         assert logits.grad is not None
@@ -380,16 +378,16 @@ class TestInstanceTargets:
         rng = np.random.default_rng(2)
         targets = InstanceTargets.from_scene(two_cluster_scene)
         k, n = 3, 16
-        preds = InstancePredictions(
+        preds = (
             Var(rng.normal(size=(k, n))),
             Var(rng.normal(size=(k, 5))),
             Var(np.concatenate([rng.normal(size=(k, 3)), np.full((k, 3), 2.0)], axis=1)),
             Var(rng.normal(size=k)),
         )
         costs = matching_cost_matrix(
-            expit(preds.mask_logits.value), np.full((k, 5), 0.2), targets.masks, targets.classes
+            expit(preds[0].value), np.full((k, 5), 0.2), targets.masks, targets.classes
         )
         assignment = one_to_many_match(costs, 2)
-        terms = instance_loss_terms(assignment, preds, targets)
+        terms = instance_loss_terms(assignment, *preds, targets)
         report = LossReport(*(float(terms[key].value) for key in ("cls", "box", "mask", "ms")))
         assert report.instance_total == pytest.approx(float(terms["total"].value))
