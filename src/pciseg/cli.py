@@ -161,7 +161,8 @@ def cmd_train(args) -> int:
     n_val = min(len(scenes) - 1, max(1, round(len(scenes) * args.val_fraction))) if args.val_fraction else 0
     train_scenes = scenes[: len(scenes) - n_val] if n_val else scenes
     val = scenes[len(scenes) - n_val :] if n_val else None
-    model, history = pipeline.train(train_scenes, config, args.seed, val)
+    inputs = f"--data {args.data} with --config {args.config or '(not given: defaults)'}"
+    model, history = _named(inputs, pipeline.train, train_scenes, config, args.seed, val)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.save_model(out / "model.bin", model)
@@ -177,7 +178,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     model = _named(args.model, pipeline.load_model, args.model)
     scene = _named(args.scene, scenegen.read_scene, args.scene)
-    predictions = pipeline.infer(scene, model)
+    predictions = _named(args.scene, pipeline.infer, scene, model)
     scenegen.write_predictions(args.out, predictions, scene.num_points)
     logger.info("wrote %d predictions to %s", len(predictions), args.out)
     return 0

@@ -21,6 +21,16 @@ from .autodiff import Var
 OFFSET_DIMS = 3  # point position minus candidate position
 BOX_DIMS = 6  # |point box - candidate box|, corner by corner
 
+# Points per GEMM call of a tiled decoder layer (see decode_mask_logits).
+# One call over all N points packs an operand and writes a product that no
+# longer stay in L2 at 4096 points. Decoding 96 candidates with layout
+# (41, 32, 1) on a 2-vCPU Xeon (2 MiB L2 per core, one BLAS thread) took
+# 49.9 ms untiled over 4096 points and 37.1, 37.1, 36.6 and 36.7 ms with
+# tiles of 128, 256, 384 and 512 points, but 49 ms with 1024 or 2048. At
+# 768 points 256 was best: 6.7 ms, against 9.2 untiled and 8.4 with 512,
+# which pads 768 to 1024.
+TILE_POINTS = 256
+
 
 @dataclass(frozen=True)
 class KernelLayout:
@@ -109,10 +119,10 @@ def worker_count() -> int:
 WORKERS = worker_count()
 
 # Pairs (candidate and point in the decoder, point and neighbour in the
-# encoder's k-d tree query) a thread must get to pay for itself: about 6 ms
-# of one-thread work. Below it, the thread's start-up and the GIL hand-offs
-# between its numpy calls cost about what a second core returns, and more
-# when that core is busy.
+# encoder's k-d tree query) a thread must get to pay for itself: about 3 ms
+# of one-thread decoding. Below it, the thread's start-up and the GIL
+# hand-offs between its numpy calls cost about what a second core returns,
+# and more when that core is busy.
 MIN_SHARE_PAIRS = 1 << 15
 
 
@@ -173,7 +183,7 @@ def decode_mask_logits(
     (from a (6, N) signed difference) as contiguous N-long rows, and the
     last row is ones. Each hidden layer writes a row-major (N, c) buffer,
     with a last column of ones when the next layer folds its bias, and its
-    ReLU runs in place over the whole buffer. A hidden layer hands matmul
+    ReLU runs in place over those N rows. A hidden layer hands matmul
     its (N, c_in + 1) input, the first layer the transpose of the
     channel-major buffer, and reads its weights and bias as one
     (c_in + 1, c_out) view, ``kernel[w.start:b.stop]``, which the
@@ -181,9 +191,9 @@ def decode_mask_logits(
     (the fold), where the first rule below allows it. Only each
     candidate's row of logits is kept.
 
-    Two rules keep every logit the bytes of ``x @ W`` on a row-major ``x``
-    followed by ``+= b`` (``tests/test_blas.py`` pins the BLAS behaviour
-    they rest on):
+    Three rules keep every logit the bytes of ``x @ W`` on a row-major
+    ``x`` followed by ``+= b`` (``tests/test_blas.py`` pins the BLAS
+    behaviour they rest on):
 
     - The fold is used only where numpy sends ``x @ W`` itself to a GEMM:
       N, c_in and c_out all at least 2. A one-row product (N = 1) or a
@@ -196,6 +206,24 @@ def decode_mask_logits(
       column-major. The last layer reads a row-major hidden buffer, and a
       layout whose first layer has width 1 (every one-layer layout, such
       as (13, 1)) keeps its decoder input row-major, (N, c_0).
+    - A GEMM row's bytes do not depend on how many rows the call has;
+      gemv rows do. The input and hidden buffers are the first N rows of
+      storage padded to whole tiles of ``TILE_POINTS``, and a product of
+      N >= 2 rows and width c_out >= 2 runs as one stacked matmul over
+      (tiles, ``TILE_POINTS``, c) views of that storage, one GEMM per
+      tile that stays in L2. The padding rows it fills are read only by
+      the next tiled product. A width-1 product stays one gemv over
+      exactly N rows, and N = 1 is neither padded nor tiled. The ReLU,
+      the branch signature and the vjp read only the N rows; the vjp
+      recomputes a candidate with the same tiled products, but its sums
+      over points are not tiled.
+
+    These are facts of the BLAS that numpy ships, pinned for the widths in
+    ``tests/test_blas.py``. With an inner size of 16 or more, OpenBLAS
+    0.3.31 gives a GEMM row other bytes for another memory order or row
+    count when the output width is 1 to 4 above a multiple of 8: a layout
+    such as (41, 10, 1) decodes logits that agree with the row-major
+    product only to rounding.
 
     The forward splits the candidates into up to ``WORKERS`` interleaved
     shares of at least ``MIN_SHARE_PAIRS`` candidate-point pairs, each with
@@ -214,12 +242,13 @@ def decode_mask_logits(
     instead (see ``_sum_start``) and would keep a zero row's signed zeros,
     so every row is walked there. The vjp runs on one thread, so its sums
     over candidates run in ascending k. The first layer's input gradient
-    ``gh @ W.T`` is written channel-major, and so are the mask-feature and
-    point-box sums and the sign products; for the channel-major input the
-    weight gradient ``x.T @ gh`` is taken as ``(gh.T @ x).T``, which has
-    the row-major product's bytes when gh is at least 2 wide, and each
-    candidate-box gradient sums its N terms in ascending n, as a row-major
-    axis-0 sum does. ``positions`` and ``cand_positions`` are constants.
+    ``gh @ W.T`` is a row-major (N, c_0) product, and the mask-feature,
+    point-box and candidate-box sums read it row-major: written
+    column-major, the same GEMM gives other bytes at (c_0, c_out) =
+    (41, 32) for N >= 193 not a multiple of 8. For the channel-major input
+    the weight gradient ``x.T @ gh`` is taken as ``(gh.T @ x).T``, which
+    has the row-major product's bytes when gh is at least 2 wide.
+    ``positions`` and ``cand_positions`` are constants.
     While a branch signature is captured, each candidate records the signs
     of its box differences and every ReLU pattern, in ascending k and in
     row-major order, as ``autodiff.absolute`` and ``autodiff.relu`` do.
@@ -251,18 +280,37 @@ def decode_mask_logits(
     positions_t = np.ascontiguousarray(positions.T)
     point_boxes_t = np.ascontiguousarray(point_boxes.value.T)
 
-    def buffers() -> tuple[list[np.ndarray], np.ndarray]:
+    # N = 1 is never tiled: its first layer is a gemv that reads the decoder
+    # input as one contiguous row, as it does unpadded.
+    tiles = -(-n // TILE_POINTS) if n > 1 else 0
+    tiled = [tiles > 0 and c_out > 1 for _, _, (_, c_out) in specs]
+
+    def buffers() -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
         """One decoding thread's arrays: every layer's (N, c_in) input, with
         a last column of ones where the layer folds its bias (the first is
-        the transpose of the decoder input buffer); and the (6, N) signed
-        box difference."""
-        x0 = np.zeros((c0 + folds[0], n)) if channel_major else np.zeros((n, c0 + folds[0])).T
-        x0[:mask_dim] = fmask.value.T
+        the transpose of the decoder input buffer), as a view of the first
+        N rows of storage padded to whole tiles; the same storage as
+        (tiles, ``TILE_POINTS``, c_in) views; and the (6, N) signed box
+        difference."""
+        rows = tiles * TILE_POINTS or n
+        x0 = np.zeros((c0 + folds[0], rows)) if channel_major else np.zeros((rows, c0 + folds[0])).T
+        x0[:mask_dim, :n] = fmask.value.T
         x0[c0:] = 1.0
-        acts = [x0.T] + [np.ones((n, c_in + fold)) for (_, _, (c_in, _)), fold in zip(specs[1:], folds[1:])]
-        return acts, np.empty((BOX_DIMS, n))
+        stores = [x0.T] + [np.ones((rows, c_in + fold)) for (_, _, (c_in, _)), fold in zip(specs[1:], folds[1:])]
+        return (
+            [store[:n] for store in stores],
+            [store[: tiles * TILE_POINTS].reshape(tiles, TILE_POINTS, store.shape[1]) for store in stores],
+            np.empty((BOX_DIMS, n)),
+        )
 
-    def run(k: int, acts: list[np.ndarray], diff: np.ndarray, out: np.ndarray, marks: list | None = None) -> None:
+    def run(
+        k: int,
+        acts: list[np.ndarray],
+        tile_views: list[np.ndarray],
+        diff: np.ndarray,
+        out: np.ndarray,
+        marks: list | None = None,
+    ) -> None:
         """Candidate k through its layers into the (N, 1) ``out``, in place;
         appends its box difference signs and ReLU patterns to ``marks`` when
         given."""
@@ -274,10 +322,14 @@ def decode_mask_logits(
         if marks is not None:
             marks.append(np.sign(diff).T)
         kernel = kernels.value[k]
-        for (rows, shape, b), x, h in zip(steps, acts, acts[1:] + [out]):
-            pre = h[:, : shape[1]]
-            np.matmul(x[:, : shape[0]], kernel[rows].reshape(shape), out=pre)
-            if h is not out:  # every layer but the last: bias, then ReLU
+        operands = acts + [out]
+        for layer, (rows, shape, b) in enumerate(steps):
+            # A tiled product also fills padding rows; only the next tiled product reads them.
+            x, y = (tile_views if tiled[layer] else operands)[layer : layer + 2]
+            np.matmul(x[..., : shape[0]], kernel[rows].reshape(shape), out=y[..., : shape[1]])
+            if layer < len(steps) - 1:  # every layer but the last: bias, then ReLU
+                h = acts[layer + 1]
+                pre = h[:, : shape[1]]
                 if b is not None:
                     pre += kernel[b]
                 if marks is not None:
@@ -291,9 +343,9 @@ def decode_mask_logits(
     shares = max(1, min(k_count, share_count(k_count * n)))
 
     def decode_share(share: int) -> None:
-        acts, diff = buffers()
+        acts, tile_views, diff = buffers()
         for k in range(share, k_count, shares):
-            run(k, acts, diff, logits[k][:, None], None if marks is None else marks[k])
+            run(k, acts, tile_views, diff, logits[k][:, None], None if marks is None else marks[k])
 
     _in_shares(decode_share, shares)
     for candidate_marks in marks or ():
@@ -302,21 +354,17 @@ def decode_mask_logits(
 
     def vjp(g):
         g = np.ascontiguousarray(g)
-        # Sums over candidates, channel-major like the input; transposed on return.
-        g_fmask = np.full((mask_dim, n), _sum_start(k_count))
-        g_point_boxes = np.full((BOX_DIMS, n), _sum_start(k_count))
+        g_fmask = np.full((n, mask_dim), _sum_start(k_count))
+        g_point_boxes = np.full((n, BOX_DIMS), _sum_start(k_count))
         g_cand_boxes = np.zeros((k_count, BOX_DIMS))
         g_kernels = np.zeros(kernels.shape)
-        # The first layer's input gradient, in the memory order of its input.
-        g_x0 = np.empty((c0, n)) if channel_major else np.empty((n, c0)).T
-        box_terms = np.empty((BOX_DIMS, n + 1))
-        acts, diff = buffers()
+        acts, tile_views, diff = buffers()
         out = np.empty((n, 1))
         # At K = 1 or N = 1 a sum above starts at -0.0 and would pass a zero
         # row's signed zeros through, so there every row is walked.
         rows = np.flatnonzero(g.any(axis=1)) if k_count > 1 and n > 1 else range(k_count)
         for k in rows:
-            run(k, acts, diff, out)
+            run(k, acts, tile_views, diff, out)
             kernel, g_kernel = kernels.value[k], g_kernels[k]
             gh = g[k][:, None]
             for layer in reversed(range(len(specs))):
@@ -327,14 +375,13 @@ def decode_mask_logits(
                     g_kernel[b] += gh.sum(axis=0)
                 g_kernel[w] += ((gh.T @ x).T if layer == 0 and channel_major else x.T @ gh).ravel()
                 weights_t = kernel[w].reshape(c_in, c_out).T
-                gh = gh @ weights_t if layer else np.matmul(gh, weights_t, out=g_x0.T)
-            g_fmask += g_x0[:mask_dim]
-            g_geo = g_x0[geo_rows] * geo_scale * np.sign(diff)
+                gh = gh @ weights_t
+            # gh is now the (N, c_0) input gradient, row-major.
+            g_fmask += gh[:, :mask_dim]
+            g_geo = gh[:, geo_rows] * geo_scale
+            g_geo *= np.sign(diff).T
             g_point_boxes += g_geo
-            # (-g_geo) summed over n in ascending order from _sum_start(n).
-            box_terms[:, 0] = _sum_start(n)
-            np.negative(g_geo, out=box_terms[:, 1:])
-            g_cand_boxes[k] = np.add.accumulate(box_terms, axis=1, out=box_terms)[:, -1]
-        return np.ascontiguousarray(g_fmask.T), np.ascontiguousarray(g_point_boxes.T), g_cand_boxes, g_kernels
+            g_cand_boxes[k] = np.negative(g_geo, out=g_geo).sum(axis=0, initial=_sum_start(n))
+        return g_fmask, g_point_boxes, g_cand_boxes, g_kernels
 
     return ad.node(logits, (fmask, point_boxes, cand_boxes, kernels), vjp)

@@ -231,8 +231,9 @@ def encoder_inputs(positions: np.ndarray, colors: np.ndarray) -> np.ndarray:
     nn = nearest(positions, positions, ENCODER_KNN, workers=workers)[:, :k]
     # One neighbour-major (k, N, 6) gather of positions and colours: the
     # statistics reduce over whole (N, 6) slices, with the same additions
-    # in the same order per entry.
-    near = np.concatenate([positions, colors], axis=1)[nn.T]
+    # in the same order per entry. ``np.take`` copies the same rows as the
+    # fancy index ``rows[nn.T]`` in about a third of the time.
+    near = np.take(np.concatenate([positions, colors], axis=1), nn.T, axis=0)
     mean = near.sum(axis=0)
     mean /= k
     near -= mean
@@ -393,10 +394,13 @@ def infer(
 
     Returns predictions sorted by descending confidence with masks
     binarized (and superpoint-aligned when the scene carries a partition).
-    A scene with no predicted-foreground points yields an empty list.
+    A scene with no predicted-foreground points yields an empty list. A
+    scene whose class count differs from the model's raises ValueError.
     """
     config = config or default_config_for(model)
     match_config(model, config)
+    if scene.num_classes != config.num_classes:
+        raise ValueError(f"scene has {scene.num_classes} classes, the model {config.num_classes}")
     p = model.as_vars()
     pointwise = _forward_pointwise(scene, p, config, None)  # features, semantic logits, boxes, mask features
 
@@ -534,13 +538,14 @@ def train(
 
     Logs per-epoch mean loss components and, every ``eval_every`` epochs
     (and at the end), the validation mask AP at IoU 0.5. Aborts on a
-    non-finite loss.
+    non-finite loss. A training or validation scene whose class count
+    differs from the config's raises ValueError before any step.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
-    for scene in dataset:
+    for scene in [*dataset, *(val_scenes or [])]:
         if scene.num_classes != config.num_classes:
-            raise ValueError("scene class count does not match the config")
+            raise ValueError(f"scene has {scene.num_classes} classes, the config {config.num_classes}")
     model = ModelParams.initialize(config, seed)
     caches = [build_encoder_cache(scene, config) for scene in dataset]
     optimizer = RmsProp(model.params, config.learning_rate)

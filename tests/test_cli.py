@@ -9,7 +9,7 @@ import pytest
 
 from pciseg.cli import main
 from pciseg.pipeline import PipelineConfig
-from pciseg.scenegen import GenConfig, read_predictions, read_scene, write_predictions, write_scene
+from pciseg.scenegen import GenConfig, generate, read_predictions, read_scene, write_predictions, write_scene
 
 from conftest import toy_scene
 
@@ -131,6 +131,36 @@ def test_truncated_scene_exits_naming_it(tmp_path, scene_dir):
     model = Path(__file__).resolve().parents[1] / "bench" / "model.bin"
     with pytest.raises(SystemExit, match=f"^{re.escape(str(scene))}: truncated"):
         main(["infer", "--model", str(model), "--scene", str(scene), "--out", str(tmp_path / "out.pred")])
+
+
+@pytest.fixture
+def three_class_dir(tmp_path):
+    out = tmp_path / "three_class"
+    out.mkdir()
+    for index, scene in enumerate(generate(GenConfig(num_scenes=2, points_per_scene=128, seed=5, num_classes=3))):
+        write_scene(out / f"scene_{index:04d}.scene", scene)
+    return out
+
+
+def test_class_count_mismatch_in_infer_exits_naming_the_scene(tmp_path, three_class_dir):
+    # The 5-class reference model would write class-3 predictions for a 3-class scene.
+    scene = next(three_class_dir.glob("*.scene"))
+    model = Path(__file__).resolve().parents[1] / "bench" / "model.bin"
+    out = tmp_path / "out.pred"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(scene))}: scene has 3 classes, the model 5$"):
+        main(["infer", "--model", str(model), "--scene", str(scene), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("with_config", [True, False])
+def test_class_count_mismatch_in_train_exits_naming_data_and_config(tmp_path, three_class_dir, with_config):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    args = ["train", "--data", str(three_class_dir), "--out", str(tmp_path / "run")]
+    named = f"--data {three_class_dir} with --config {cfg if with_config else '(not given: defaults)'}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(named)}: scene has 3 classes, the config 5$"):
+        main(args + (["--config", str(cfg)] if with_config else []))
+    assert not (tmp_path / "run").exists()
 
 
 def test_truncated_predictions_exit_naming_them(tmp_path, scene_dir):

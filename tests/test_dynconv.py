@@ -452,6 +452,53 @@ class TestZeroRowSkip:
             assert not grad.any() and not np.signbit(grad).any(), name
 
 
+def row_major_reference(values, positions, cand_positions, layout, geo_cue):
+    """Logits and branch signature of the untiled row-major decoder: each
+    candidate's layers as one ``x @ W`` over all N rows of a row-major x,
+    then ``+= b`` and the ReLU, recording the box-difference signs and ReLU
+    patterns in the order ``decode_mask_logits`` records them."""
+    specs = layout.slices()
+    logits, marks = [], []
+    for k, kernel in enumerate(values["kernels"]):
+        diff = values["point_boxes"] - values["cand_boxes"][k]
+        marks.append(np.sign(diff))
+        geo = np.abs(diff) if geo_cue == "on" else np.zeros_like(diff)
+        x = np.concatenate([values["fmask"], positions - cand_positions[k], geo], axis=1)
+        for w, b, shape in specs:
+            x = x @ kernel[w].reshape(shape)
+            if b is not None:
+                x += kernel[b]
+                marks.append(x > 0.0)
+                x = np.maximum(x, 0.0)
+        logits.append(x[:, 0])
+    _, digest = ad.capture_signature(lambda: [ad.record(bits) for bits in marks])
+    return np.stack(logits), digest
+
+
+class TestTileEdges:
+    """Layers of N >= 2 rows and width at least 2 run one stacked matmul
+    over ``TILE_POINTS``-row tiles; at every tile edge the logits, the four
+    gradients and the branch signature keep the untiled row-major bytes."""
+
+    @pytest.mark.parametrize("n", [1, 2, dynconv.TILE_POINTS - 1, dynconv.TILE_POINTS, dynconv.TILE_POINTS + 1, 1000])
+    @pytest.mark.parametrize("dims", [(41, 32, 1), (41, 16, 8, 1), (13, 1)])
+    @pytest.mark.parametrize("geo_cue", ["on", "zero"])
+    def test_bytes_equal_the_untiled_row_major_decoder(self, geo_cue, dims, n):
+        values, positions, cand_positions, layout = decoder_case(3, n, dims, seed=n)
+        g = np.random.default_rng(n + 1).normal(size=(3, n))
+        p = {name: ad.parameter(v) for name, v in values.items()}
+        logits, digest = ad.capture_signature(
+            lambda: decode(decode_mask_logits, p, positions, cand_positions, layout, geo_cue)
+        )
+        want_logits, want_digest = row_major_reference(values, positions, cand_positions, layout, geo_cue)
+        assert logits.value.tobytes() == want_logits.tobytes(), "logits"
+        assert digest == want_digest, "signature"
+        want = full_walk_decoder_grads(**values, positions=positions, cand_positions=cand_positions,
+                                       layout=layout, geo_cue=geo_cue, g=g)
+        for name, got, expected in zip(values, logits._vjp(g), want):
+            assert got.tobytes() == expected.tobytes(), name
+
+
 def decode_with_grads(k, n, geo_cue):
     """Logits, the four gradients and the branch-signature digest of one
     decode and backward over a random (K, N) case."""

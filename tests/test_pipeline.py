@@ -241,6 +241,14 @@ class TestSuperpointAlign:
 
 
 class TestInfer:
+    def test_scene_class_count_must_match_the_model(self, two_cluster_scene):
+        # The 5-class model would otherwise label points with classes the
+        # 3-class scene cannot hold.
+        config = tiny_config()
+        scene = dataclasses.replace(two_cluster_scene, num_classes=3)
+        with pytest.raises(ValueError, match="^scene has 3 classes, the model 5$"):
+            infer(scene, oracle_model(config), config)
+
     def test_pure_background_scene_empty(self, two_cluster_scene):
         config = tiny_config()
         model = oracle_model(config)
@@ -412,6 +420,18 @@ class TestTraining:
         model_b, _ = train(scenes, config, seed=5)
         for name in model_a.params:
             assert np.array_equal(model_a.params[name], model_b.params[name]), name
+
+    def test_scene_class_count_must_match_the_config(self, monkeypatch):
+        scenes = generate(GenConfig(num_scenes=2, points_per_scene=256, seed=3))
+        other = generate(GenConfig(num_scenes=1, points_per_scene=256, seed=3, num_classes=3))
+
+        def no_step(*args):
+            raise AssertionError("a scene was trained on before every class count was checked")
+
+        monkeypatch.setattr(pipeline, "scene_loss", no_step)
+        for train_scenes, val_scenes in ((scenes + other, None), (scenes, other)):
+            with pytest.raises(ValueError, match="^scene has 3 classes, the config 5$"):
+                train(train_scenes, tiny_config(epochs=1), seed=0, val_scenes=val_scenes)
 
     def test_divergence_aborts_with_diagnostic(self):
         scenes = generate(GenConfig(num_scenes=1, points_per_scene=256, seed=9))
