@@ -162,7 +162,8 @@ def cmd_train(args) -> int:
     train_scenes = scenes[: len(scenes) - n_val] if n_val else scenes
     val = scenes[len(scenes) - n_val :] if n_val else None
     inputs = f"--data {args.data} with --config {args.config or '(not given: defaults)'}"
-    model, history = _named(inputs, pipeline.train, train_scenes, config, args.seed, val)
+    _named(inputs, pipeline.check_class_counts, scenes, config.num_classes, "config")
+    model, history = pipeline.train(train_scenes, config, args.seed, val)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.save_model(out / "model.bin", model)
@@ -178,7 +179,8 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     model = _named(args.model, pipeline.load_model, args.model)
     scene = _named(args.scene, scenegen.read_scene, args.scene)
-    predictions = _named(args.scene, pipeline.infer, scene, model)
+    _named(args.scene, pipeline.check_class_counts, [scene], model.num_classes, "model")
+    predictions = pipeline.infer(scene, model)
     scenegen.write_predictions(args.out, predictions, scene.num_points)
     logger.info("wrote %d predictions to %s", len(predictions), args.out)
     return 0

@@ -119,10 +119,13 @@ def worker_count() -> int:
 WORKERS = worker_count()
 
 # Pairs (candidate and point in the decoder, point and neighbour in the
-# encoder's k-d tree query) a thread must get to pay for itself: about 3 ms
-# of one-thread decoding. Below it, the thread's start-up and the GIL
-# hand-offs between its numpy calls cost about what a second core returns,
-# and more when that core is busy.
+# encoder's k-d tree query) each thread must get before a job is split:
+# about 3 ms of one-thread tiled decoding (96 x 4096 pairs took 37.1 ms).
+# Below it, the thread's start-up and the GIL hand-offs between its numpy
+# calls cost about what a second core returns, and more when that core is
+# busy. The pair count is not the break-even point: infer-768's 96 x 768
+# chunk (about 7 ms on one thread) is split and is slower on two threads
+# (see the `share_count` entry in CHANGES.md).
 MIN_SHARE_PAIRS = 1 << 15
 
 

@@ -201,6 +201,14 @@ class ModelParams:
                 raise RuntimeError(f"parameter {name} became non-finite")
 
 
+def check_class_counts(scenes: list[Scene], num_classes: int, owner: str) -> None:
+    """Raise ValueError at the first scene whose class count differs from
+    the ``num_classes`` of ``owner`` (the model or the config)."""
+    for scene in scenes:
+        if scene.num_classes != num_classes:
+            raise ValueError(f"scene has {scene.num_classes} classes, the {owner} {num_classes}")
+
+
 def match_config(model: ModelParams, config: PipelineConfig) -> None:
     """Raise when a config cannot drive the given parameters."""
     if (
@@ -399,8 +407,7 @@ def infer(
     """
     config = config or default_config_for(model)
     match_config(model, config)
-    if scene.num_classes != config.num_classes:
-        raise ValueError(f"scene has {scene.num_classes} classes, the model {config.num_classes}")
+    check_class_counts([scene], config.num_classes, "model")
     p = model.as_vars()
     pointwise = _forward_pointwise(scene, p, config, None)  # features, semantic logits, boxes, mask features
 
@@ -543,9 +550,7 @@ def train(
     """
     if not dataset:
         raise ValueError("training dataset is empty")
-    for scene in [*dataset, *(val_scenes or [])]:
-        if scene.num_classes != config.num_classes:
-            raise ValueError(f"scene has {scene.num_classes} classes, the config {config.num_classes}")
+    check_class_counts([*dataset, *(val_scenes or [])], config.num_classes, "config")
     model = ModelParams.initialize(config, seed)
     caches = [build_encoder_cache(scene, config) for scene in dataset]
     optimizer = RmsProp(model.params, config.learning_rate)

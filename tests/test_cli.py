@@ -163,6 +163,25 @@ def test_class_count_mismatch_in_train_exits_naming_data_and_config(tmp_path, th
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_errors_past_the_class_count_check_are_not_blamed_on_the_inputs(tmp_path, scene_dir, monkeypatch, command):
+    # Only the input check is named; a later ValueError keeps its traceback.
+    from pciseg import pipeline
+
+    def broken(*args):
+        raise ValueError("a defect inside the pipeline")
+
+    monkeypatch.setattr(pipeline, command, broken)
+    model = Path(__file__).resolve().parents[1] / "bench" / "model.bin"
+    scene = sorted(scene_dir.glob("*.scene"))[0]
+    args = {
+        "train": ["train", "--data", str(scene_dir), "--out", str(tmp_path / "run")],
+        "infer": ["infer", "--model", str(model), "--scene", str(scene), "--out", str(tmp_path / "out.pred")],
+    }[command]
+    with pytest.raises(ValueError, match="^a defect inside the pipeline$"):
+        main(args)
+
+
 def test_truncated_predictions_exit_naming_them(tmp_path, scene_dir):
     pred_dir = tmp_path / "preds"
     pred_dir.mkdir()
