@@ -15,6 +15,11 @@ from scipy.spatial import cKDTree
 
 # Soft masks compare strictly against this threshold when binarized.
 BINARIZE_THRESHOLD = 0.5
+# The same rule on mask logits: ``binarize(expit(x))`` is exactly
+# ``x > BINARIZE_LOGIT``. This is 3 * 2**-54: below it scipy's expit(x) still
+# rounds to 0.5, and every x <= 0 gives at most 0.5. Found by bisection;
+# tests/test_expit.py pins it.
+BINARIZE_LOGIT = 1.6653345369377348e-16
 
 
 def binarize(values: np.ndarray, threshold: float = BINARIZE_THRESHOLD) -> np.ndarray:

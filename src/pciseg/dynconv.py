@@ -123,10 +123,21 @@ WORKERS = worker_count()
 # about 3 ms of one-thread tiled decoding (96 x 4096 pairs took 37.1 ms).
 # Below it, the thread's start-up and the GIL hand-offs between its numpy
 # calls cost about what a second core returns, and more when that core is
-# busy. The pair count is not the break-even point: infer-768's 96 x 768
-# chunk (about 7 ms on one thread) is split and is slower on two threads
-# (see the `share_count` entry in CHANGES.md).
+# busy.
 MIN_SHARE_PAIRS = 1 << 15
+
+# Points below which the decoder stays on one thread whatever its pair
+# count: whether a second thread pays depends on the work per numpy call,
+# which grows with the points, not the candidates. In-process A/B decodes
+# of 96 candidates, layout (41, 32, 1), one BLAS thread, on a 2-vCPU Xeon,
+# one and two threads alternating, 21 decodes each per run. At 768 points
+# two threads won 18, 2, 6, 2, 6, 14 and 10 of 21 (medians 6.9-10.9 ms on
+# one thread, 7.5-10.7 on two): break-even at best, a loss on a quiet
+# host. At 1024 points they won 21, 16, 18, 19, 21, 21 and 20 of 21
+# (8.8-16.2 ms against 7.8-12.7), and 20 of 21 at 64 x 1024. At 2048
+# points they won 20, 21, 21 and 21 of 21 (17.6-29.0 ms against
+# 14.2-17.8), and at 4096 every decode (38.4 ms against 28.4).
+MIN_SHARE_POINTS = 1024
 
 
 def share_count(pairs: int) -> int:
@@ -228,10 +239,11 @@ def decode_mask_logits(
     such as (41, 10, 1) decodes logits that agree with the row-major
     product only to rounding.
 
-    The forward splits the candidates into up to ``WORKERS`` interleaved
-    shares of at least ``MIN_SHARE_PAIRS`` candidate-point pairs, each with
-    buffers of its own, which run on as many threads; every row keeps the
-    same arithmetic, so the logits do not depend on the split.
+    Over at least ``MIN_SHARE_POINTS`` points, the forward splits the
+    candidates into up to ``WORKERS`` interleaved shares of at least
+    ``MIN_SHARE_PAIRS`` candidate-point pairs, each with buffers of its
+    own, which run on as many threads; every row keeps the same
+    arithmetic, so the logits do not depend on the split.
 
     The vjp returns the gradients of ``fmask``, ``point_boxes``,
     ``cand_boxes`` and ``kernels``. It walks only the candidates whose row
@@ -343,7 +355,7 @@ def decode_mask_logits(
     # candidate's marks are kept and replayed here in ascending k.
     marks = [[] for _ in range(k_count)] if ad.recording() else None
     logits = np.empty((k_count, n))
-    shares = max(1, min(k_count, share_count(k_count * n)))
+    shares = max(1, min(k_count, share_count(k_count * n))) if n >= MIN_SHARE_POINTS else 1
 
     def decode_share(share: int) -> None:
         acts, tile_views, diff = buffers()

@@ -23,6 +23,7 @@ from . import autodiff as ad, dynconv
 from .aggregator import AggregatorBlock, aggregate_batch, ball_query, box_from_raw, heads
 from .autodiff import Var
 from .core import (
+    BINARIZE_LOGIT,
     BINARIZE_THRESHOLD,
     Aabb,
     Prediction,
@@ -350,7 +351,9 @@ def nms(masks: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int
     """Greedy mask suppression by descending score, ties to lower index.
 
     A mask is dropped when its IoU with an already-kept mask strictly
-    exceeds the threshold.
+    exceeds the threshold. The first mask in that order is always kept;
+    every other mask compares the running maximum of its IoUs with the
+    kept masks, read from the one pairwise IoU matrix.
     """
     masks = np.asarray(masks)
     scores = np.asarray(scores, dtype=np.float64)
@@ -359,26 +362,33 @@ def nms(masks: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int
     ious = mask_iou(masks, masks)
     order = np.lexsort((np.arange(scores.size), -scores))
     kept: list[int] = []
+    highest = np.zeros(scores.size)  # each mask's highest IoU with a kept mask
     for idx in order:
-        if np.all(ious[idx, kept] <= iou_threshold):
+        if not kept or highest[idx] <= iou_threshold:
             kept.append(int(idx))
+            np.maximum(highest, ious[:, idx], out=highest)
     return kept
 
 
 def superpoint_align(mask_values: np.ndarray, superpoints: np.ndarray | None) -> np.ndarray:
-    """Snap a soft mask to whole superpoints by mean value; strict > 0.5.
+    """Snap soft masks to whole superpoints by mean value; strict > 0.5.
 
+    ``mask_values`` is one (N,) soft mask or a (P, N) stack of them, and
+    the result has its shape. A stack inverts the superpoint ids once and
+    sums all its rows in one ``bincount``, each row over its own bins in
+    ascending point order, so every row gets the bytes it gets alone.
     Falls back to plain binarization when no superpoints are given.
     """
     mask_values = np.asarray(mask_values, dtype=np.float64)
     if superpoints is None:
         return binarize(mask_values)
-    superpoints = np.asarray(superpoints)
-    _, inverse = np.unique(superpoints, return_inverse=True)
-    sums = np.bincount(inverse, weights=mask_values)
-    counts = np.bincount(inverse)
-    keep = (sums / counts) > 0.5
-    return keep[inverse]
+    groups, inverse = np.unique(np.asarray(superpoints), return_inverse=True)
+    stack = np.atleast_2d(mask_values)
+    shape = (stack.shape[0], groups.size)
+    bins = np.arange(shape[0])[:, None] * groups.size + inverse
+    sums = np.bincount(bins.ravel(), weights=stack.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+    keep = sums / np.bincount(inverse) > 0.5
+    return keep[:, inverse].reshape(mask_values.shape)
 
 
 def _score_candidates(class_logits: np.ndarray, quality_logits: np.ndarray):
@@ -404,6 +414,13 @@ def infer(
     binarized (and superpoint-aligned when the scene carries a partition).
     A scene with no predicted-foreground points yields an empty list. A
     scene whose class count differs from the model's raises ValueError.
+
+    Each chunk keeps its raw mask logits. The sigmoid is taken only where
+    it is read: IA-FPS feedback takes it at the stage-1 points, NMS
+    binarizes the logits as ``x > BINARIZE_LOGIT`` (the same bits as
+    ``binarize(expit(x))``), and each mask that NMS keeps gets its own
+    sigmoid. So every prediction owns its N-point ``soft_mask``, and a
+    caller that keeps predictions keeps no (K, N) block of the scene.
     """
     config = config or default_config_for(model)
     match_config(model, config)
@@ -419,32 +436,45 @@ def infer(
 
     stage1 = fps(positions, min(config.stage1_budget, int(foreground.sum())), candidate_filter=foreground)
     stage = _candidate_stage(p, config, pointwise, positions, stage1)
-    chunks: list[tuple] = []  # (class logits, boxes, quality, soft masks) per candidate chunk
+    chunks: list[tuple] = []  # (class logits, boxes, quality, mask logits) per candidate chunk
+
+    def decode(local_idx: np.ndarray) -> np.ndarray:
+        """One chunk through the candidate stage; returns its mask logits."""
+        cls_logits, boxes, quality, mask_logits = stage(local_idx)
+        chunks.append((cls_logits.value, boxes.value, quality.value, mask_logits.value))
+        return mask_logits.value
 
     def feedback(local_idx: np.ndarray) -> np.ndarray:
-        """One chunk through the candidate stage; returns its masks at the stage-1 points."""
-        cls_logits, boxes, quality, mask_logits = stage(local_idx)
-        masks = expit(mask_logits.value)
-        chunks.append((cls_logits.value, boxes.value, quality.value, masks))
-        return masks[:, stage1]
+        """One chunk decoded; returns its soft masks at the stage-1 points only."""
+        return expit(decode(local_idx)[:, stage1])
 
     # Every stage-1 point is foreground, so the first chunk always picks.
     local_order = ia_fps_infer(foreground[stage1], positions[stage1], config.sample_budget(), feedback)
-    decoded = sum(masks.shape[0] for *_, masks in chunks)
+    decoded = sum(logits.shape[0] for *_, logits in chunks)
     if decoded < local_order.size:
-        feedback(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
-    cls_logits, boxes, quality, soft_masks = (np.concatenate(parts) for parts in zip(*chunks))
+        decode(local_order[decoded:])  # the last chunk, which IA-FPS does not feed back
+    cls_logits, boxes, quality = (np.concatenate(parts) for parts in list(zip(*chunks))[:3])
+    # Candidate rows of the chunks' logits, which are never concatenated.
+    logit_rows = [row for *_, logits in chunks for row in logits]
 
     class_ids, scores = _score_candidates(cls_logits, quality)
-    binary = binarize(soft_masks)
+    binary = np.empty((len(logit_rows), scene.num_points), dtype=bool)
+    start = 0
+    for *_, logits in chunks:
+        # binarize(expit(logits)) in one pass, without the sigmoid
+        np.greater(logits, BINARIZE_LOGIT, out=binary[start : start + logits.shape[0]])
+        start += logits.shape[0]
     nonempty = np.flatnonzero(binary.any(axis=1))
     kept = [int(nonempty[i]) for i in nms(binary[nonempty], scores[nonempty], config.nms_iou)]
+    if not kept:
+        return []
 
+    # Only the kept rows get a sigmoid, each into an N-vector of its own.
+    soft = [expit(logit_rows[idx]) for idx in kept]
+    aligned = superpoint_align(np.stack(soft), scene.superpoints)
     predictions = []
-    for idx in kept:
-        soft = soft_masks[idx]
-        aligned = superpoint_align(soft, scene.superpoints)
-        if not aligned.any():
+    for idx, soft_mask, mask in zip(kept, soft, aligned):
+        if not mask.any():
             continue
         box_vec = boxes[idx]
         predictions.append(
@@ -452,8 +482,8 @@ def infer(
                 class_id=int(class_ids[idx]),
                 score=float(scores[idx]),
                 box=Aabb(box_vec[:3], box_vec[3:]),
-                mask=aligned,
-                soft_mask=soft,
+                mask=mask,
+                soft_mask=soft_mask,
             )
         )
     return predictions

@@ -523,14 +523,30 @@ class TracksThreads(np.ndarray):
         return np.asarray(self)[k]
 
 
+# The thread gates as shipped, read before any test patches them.
+SHARE_PAIRS, SHARE_POINTS = dynconv.MIN_SHARE_PAIRS, dynconv.MIN_SHARE_POINTS
+
+
+def decoding_threads(k, n):
+    """The number of threads that decode K candidates over N points."""
+    values, positions, cand_positions, layout = decoder_case(k, n, (13, 8, 1))
+    tracked = cand_positions.view(TracksThreads)
+    tracked.readers = set()
+    p = {name: Var(v) for name, v in values.items()}
+    decode(decode_mask_logits, p, positions, tracked, layout, "on")
+    return len(tracked.readers)
+
+
 class TestWorkerSplit:
     """The forward splits candidates over ``dynconv.WORKERS`` threads; no
     byte of the result may depend on the split. Unless a test says
-    otherwise, a share may be as small as one candidate-point pair."""
+    otherwise, a share may be as small as one candidate-point pair, over
+    any number of points."""
 
     @pytest.fixture(autouse=True)
     def any_share_size(self, monkeypatch):
         monkeypatch.setattr(dynconv, "MIN_SHARE_PAIRS", 1)
+        monkeypatch.setattr(dynconv, "MIN_SHARE_POINTS", 1)
 
     @pytest.mark.parametrize("n", [1, 37, 4096])
     @pytest.mark.parametrize("k", [1, 2, 5, 96])
@@ -569,6 +585,21 @@ class TestWorkerSplit:
         p = {name: Var(v) for name, v in values.items()}
         decode(decode_mask_logits, p, positions, tracked, layout, "on")
         assert len(tracked.readers) == threads
+
+    @pytest.mark.parametrize("min_share_points,threads", [(1, 2), (37, 2), (38, 1)])
+    def test_decodes_below_min_share_points_stay_on_one_thread(self, monkeypatch, min_share_points, threads):
+        monkeypatch.setattr(dynconv, "WORKERS", 2)
+        monkeypatch.setattr(dynconv, "MIN_SHARE_POINTS", min_share_points)
+        assert decoding_threads(6, 37) == threads
+
+    @pytest.mark.parametrize("k,n,threads", [(96, 768, 1), (48, 768, 1), (96, 1024, 2), (32, 4096, 2), (8, 4096, 1)])
+    def test_shipped_gates_split_by_points_per_call(self, monkeypatch, k, n, threads):
+        # Inference's 96-candidate chunk and training's 48 candidates stay on
+        # one thread at 768 points; every chunk of 32 or more splits at 4096.
+        monkeypatch.setattr(dynconv, "WORKERS", 2)
+        monkeypatch.setattr(dynconv, "MIN_SHARE_PAIRS", SHARE_PAIRS)
+        monkeypatch.setattr(dynconv, "MIN_SHARE_POINTS", SHARE_POINTS)
+        assert decoding_threads(k, n) == threads
 
     @pytest.mark.parametrize(
         "env,cpus,expected",

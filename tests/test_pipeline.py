@@ -239,6 +239,24 @@ class TestSuperpointAlign:
         for s in np.unique(spp):
             assert np.unique(out[spp == s]).size == 1
 
+    @pytest.mark.parametrize("with_superpoints", [True, False])
+    def test_stack_aligns_each_row_as_it_aligns_alone(self, with_superpoints):
+        rng = np.random.default_rng(5)
+        # Rows of 0.5 +- tiny steps put superpoint means right at the cut.
+        values = np.concatenate([rng.uniform(size=(6, 50)), 0.5 + rng.integers(-1, 2, size=(3, 50)) * 1e-17])
+        spp = rng.integers(0, 7, size=50) * 5 - 9 if with_superpoints else None
+        out = superpoint_align(values, spp)
+        assert out.shape == values.shape and out.dtype == bool
+        for row, got in zip(values, out):
+            assert np.array_equal(got, superpoint_align(row, spp))
+        assert superpoint_align(values[:0], spp).shape == (0, 50)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            superpoint_align(np.zeros(5), np.zeros(4, dtype=int))
+        with pytest.raises(ValueError):
+            superpoint_align(np.zeros((2, 5)), np.zeros(10, dtype=int))
+
 
 class TestInfer:
     def test_scene_class_count_must_match_the_model(self, two_cluster_scene):
@@ -280,6 +298,21 @@ class TestInfer:
         for pa, pb in zip(a, b):
             assert pa.score == pb.score
             assert np.array_equal(pa.mask, pb.mask)
+
+    def test_each_prediction_owns_its_soft_mask(self, two_cluster_scene):
+        # A caller that keeps predictions keeps N floats each, not the
+        # scene's (K, N) block of candidate masks.
+        scene = dataclasses.replace(two_cluster_scene, superpoints=np.arange(16) // 4)
+        config = tiny_config()
+        preds = infer(scene, oracle_model(config), config)
+        assert len(preds) == 2
+        for i, pred in enumerate(preds):
+            assert pred.soft_mask.shape == (scene.num_points,)
+            assert pred.soft_mask.base is None or pred.soft_mask.base.size == scene.num_points
+            assert np.array_equal(pred.mask, superpoint_align(pred.soft_mask, scene.superpoints))
+            for other in preds[i + 1 :]:
+                assert not np.shares_memory(pred.soft_mask, other.soft_mask)
+                assert not np.shares_memory(pred.mask, other.mask)
 
     def test_scores_sorted_descending(self, two_cluster_scene):
         config = tiny_config()
