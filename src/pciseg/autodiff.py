@@ -23,7 +23,8 @@ from scipy.special import expit
 # operation (relu, abs, maximum/minimum) appends its branch decisions,
 # and callers may append their own discrete decisions via `record`. Central
 # finite differences are only trustworthy when both evaluation points share
-# one branch pattern; see supervision.fd_gradient_check.
+# one branch pattern; see fd_gradient_check in tests/conftest.py and the
+# benchmark's directional check in bench/workloads.py.
 _signature_sink: list | None = None
 
 
@@ -67,13 +68,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
-
     def __add__(self, other):
         return add(self, other)
 
@@ -93,14 +87,8 @@ class Var:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(as_var(other), self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -262,27 +250,20 @@ def minimum(a, b) -> Var:
     return node(np.minimum(a.value, b.value), (a, b), vjp)
 
 
-def vsum(x, axis=None, keepdims: bool = False) -> Var:
+def vsum(x, axis=None) -> Var:
     x = as_var(x)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.value.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.value.shape).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.value.shape).copy(),)
 
-    return node(x.value.sum(axis=axis, keepdims=keepdims), (x,), vjp)
+    return node(x.value.sum(axis=axis), (x,), vjp)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Var:
+def mean(x) -> Var:
     x = as_var(x)
-    if axis is None:
-        count = x.value.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.value.shape[a] for a in axis]))
-    else:
-        count = x.value.shape[axis]
-    return div(vsum(x, axis=axis, keepdims=keepdims), float(count))
+    return div(vsum(x), float(x.value.size))
 
 
 def concat(parts, axis: int) -> Var:
@@ -354,7 +335,7 @@ def log_softmax(x, axis: int = -1) -> Var:
     return node(out, (x,), vjp)
 
 
-def backward(root: Var, seed: float = 1.0) -> None:
+def backward(root: Var) -> None:
     """Accumulate d(root)/d(leaf) into ``grad`` of every reachable leaf."""
     if root.value.size != 1:
         raise ValueError("backward expects a scalar root")
@@ -374,7 +355,7 @@ def backward(root: Var, seed: float = 1.0) -> None:
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    root.grad = np.full_like(root.value, seed)
+    root.grad = np.ones_like(root.value)
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue

@@ -163,6 +163,7 @@ def cmd_train(args) -> int:
     val = scenes[len(scenes) - n_val :] if n_val else None
     inputs = f"--data {args.data} with --config {args.config or '(not given: defaults)'}"
     _named(inputs, pipeline.check_class_counts, scenes, config.num_classes, "config")
+    _named(f"--data {args.data} with --val-fraction {args.val_fraction}", pipeline.check_validation_scenes, val or [])
     model, history = pipeline.train(train_scenes, config, args.seed, val)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +181,7 @@ def cmd_infer(args) -> int:
     model = _named(args.model, pipeline.load_model, args.model)
     scene = _named(args.scene, scenegen.read_scene, args.scene)
     _named(args.scene, pipeline.check_class_counts, [scene], model.num_classes, "model")
-    predictions = pipeline.infer(scene, model)
+    predictions = pipeline.infer(scene, model, pipeline.default_config_for(model))
     scenegen.write_predictions(args.out, predictions, scene.num_points)
     logger.info("wrote %d predictions to %s", len(predictions), args.out)
     return 0

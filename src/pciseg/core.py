@@ -22,9 +22,9 @@ BINARIZE_THRESHOLD = 0.5
 BINARIZE_LOGIT = 1.6653345369377348e-16
 
 
-def binarize(values: np.ndarray, threshold: float = BINARIZE_THRESHOLD) -> np.ndarray:
+def binarize(values: np.ndarray) -> np.ndarray:
     """Threshold a soft mask (values in [0, 1]) into a boolean mask."""
-    return np.asarray(values) > threshold
+    return np.asarray(values) > BINARIZE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,12 @@ class Scene:
         return aabb_from_mask(self, self.instance_mask(instance_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Aabb:
     """Axis-aligned bounding box given by min and max corners (meters).
 
-    Degenerate boxes with zero extent along any axis are allowed.
+    Degenerate boxes with zero extent along any axis are allowed. Boxes
+    compare by identity; compare their :meth:`to_vector` values instead.
     """
 
     min_corner: np.ndarray
@@ -132,25 +133,6 @@ class Aabb:
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.min_corner, self.max_corner])
-
-    @property
-    def extent(self) -> np.ndarray:
-        return self.max_corner - self.min_corner
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extent))
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.min_corner + self.max_corner)
-
-    def __eq__(self, other):
-        if not isinstance(other, Aabb):
-            return NotImplemented
-        return np.array_equal(self.min_corner, other.min_corner) and np.array_equal(
-            self.max_corner, other.max_corner
-        )
 
 
 def aabb_from_points(positions: np.ndarray) -> Aabb:
@@ -368,7 +350,3 @@ class Prediction:
         object.__setattr__(self, "mask", np.asarray(self.mask).astype(bool))
         if self.soft_mask is not None:
             object.__setattr__(self, "soft_mask", np.asarray(self.soft_mask, dtype=np.float64))
-
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.mask))

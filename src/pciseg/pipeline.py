@@ -210,6 +210,13 @@ def check_class_counts(scenes: list[Scene], num_classes: int, owner: str) -> Non
             raise ValueError(f"scene has {scene.num_classes} classes, the {owner} {num_classes}")
 
 
+def check_validation_scenes(scenes: list[Scene]) -> None:
+    """Raise ValueError when validation scenes are given but hold no
+    ground-truth instance, which leaves their AP50 nothing to score."""
+    if scenes and not any(scene.num_instances for scene in scenes):
+        raise ValueError("no validation scene holds a ground-truth instance")
+
+
 def match_config(model: ModelParams, config: PipelineConfig) -> None:
     """Raise when a config cannot drive the given parameters."""
     if (
@@ -403,11 +410,7 @@ def _score_candidates(class_logits: np.ndarray, quality_logits: np.ndarray):
     return best_col + 1, scores
 
 
-def infer(
-    scene: Scene,
-    model: ModelParams,
-    config: PipelineConfig | None = None,
-) -> list[Prediction]:
+def infer(scene: Scene, model: ModelParams, config: PipelineConfig) -> list[Prediction]:
     """Full inference pass; deterministic given (scene, model, config).
 
     Returns predictions sorted by descending confidence with masks
@@ -422,7 +425,6 @@ def infer(
     sigmoid. So every prediction owns its N-point ``soft_mask``, and a
     caller that keeps predictions keeps no (K, N) block of the scene.
     """
-    config = config or default_config_for(model)
     match_config(model, config)
     check_class_counts([scene], config.num_classes, "model")
     p = model.as_vars()
@@ -576,11 +578,13 @@ def train(
     Logs per-epoch mean loss components and, every ``eval_every`` epochs
     (and at the end), the validation mask AP at IoU 0.5. Aborts on a
     non-finite loss. A training or validation scene whose class count
-    differs from the config's raises ValueError before any step.
+    differs from the config's, or validation scenes without any
+    ground-truth instance, raise ValueError before any step.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
     check_class_counts([*dataset, *(val_scenes or [])], config.num_classes, "config")
+    check_validation_scenes(val_scenes or [])
     model = ModelParams.initialize(config, seed)
     caches = [build_encoder_cache(scene, config) for scene in dataset]
     optimizer = RmsProp(model.params, config.learning_rate)
@@ -648,7 +652,8 @@ def load_model(path) -> ModelParams:
 
     The header's structural fields must describe a valid config, and its
     parameter list must name exactly the parameters and shapes that config
-    needs, in the order ``_param_specs`` gives them.
+    needs, in the order ``_param_specs`` gives them. Every parameter value
+    must be finite.
     """
     with open(path, "rb") as f:
         if f.read(8) != MODEL_MAGIC:
@@ -673,7 +678,10 @@ def load_model(path) -> ModelParams:
             raise ValueError("model parameters do not match the header's structure")
         for name, shape in specs:
             data = read_exact(f, 8 * int(np.prod(shape)))
-            model.params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            value = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"model parameter {name} is not finite")
+            model.params[name] = value
         if f.read(1):
             raise ValueError("trailing data in model file")
     return model

@@ -35,10 +35,6 @@ class SampleBudget:
         if any(c < 1 for c in self.chunk_sizes):
             raise ValueError("chunk sizes must be positive")
 
-    @property
-    def total(self) -> int:
-        return sum(self.chunk_sizes)
-
 
 class _MaxMinSampler:
     """Greedy max-min selection that can continue across eligibility changes.

@@ -73,6 +73,8 @@ class GenConfig:
         w = np.asarray(self.scenario_weights, dtype=np.float64)
         if w.shape != (3,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("scenario weights must be three nonnegative values summing to 1")
+        if w[0] > 0 and self.max_instances < 2:
+            raise ValueError("a packed scene places at least 2 instances: a packed weight needs max_instances >= 2")
         room = np.asarray(self.room_size, dtype=np.float64)
         if room.shape != (2,) or not np.all((room >= MIN_ROOM_SIDE) & (room <= MAX_ROOM_SIDE)):
             raise ValueError(f"room_size must be two sides in [{MIN_ROOM_SIDE}, {MAX_ROOM_SIDE}] m")

@@ -3,8 +3,9 @@
 Matching duplicates every ground-truth column S times and solves a
 rectangular minimum-cost assignment, so up to S candidates supervise one
 object. The loss stack (classification, box, mask, mask-scoring, plus the
-pointwise semantic and box terms) is written on the differentiation tape;
-:func:`fd_gradient_check` verifies any loss against central differences.
+pointwise semantic and box terms) is written on the differentiation tape.
+The tests check each term's gradient against central differences with
+``fd_gradient_check`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -143,13 +144,13 @@ def box_giou(pred: Var, gt: np.ndarray) -> Var:
     pmin, pmax = pred[:, :3], pred[:, 3:]
     gmin, gmax = Var(gt[:, :3]), Var(gt[:, 3:])
 
-    def volume(extent: Var) -> Var:
+    def box_volume(extent: Var) -> Var:
         return extent[:, 0] * extent[:, 1] * extent[:, 2]
 
     inter_extent = ad.maximum(ad.minimum(pmax, gmax) - ad.maximum(pmin, gmin), 0.0)
-    inter = volume(inter_extent)
-    union = volume(pmax - pmin) + volume(gmax - gmin) - inter
-    hull = volume(ad.maximum(pmax, gmax) - ad.minimum(pmin, gmin))
+    inter = box_volume(inter_extent)
+    union = box_volume(pmax - pmin) + box_volume(gmax - gmin) - inter
+    hull = box_volume(ad.maximum(pmax, gmax) - ad.minimum(pmin, gmin))
     return inter / union - (hull - union) / hull
 
 
@@ -222,9 +223,7 @@ def instance_loss_terms(
 
         hard = binarize(probs.value)
         ad.record(hard)  # quality targets are a discrete function of the masks
-        realized = np.asarray(
-            [mask_iou(hard[row], targets.masks[gts[row]]) for row in range(cands.size)]
-        )
+        realized = np.diagonal(mask_iou(hard, targets.masks[gts]))
         terms["ms"] = mask_scoring(quality_logits[cands], realized)
     else:
         terms["mask"] = Var(0.0)
@@ -292,63 +291,3 @@ class LossReport:
     @property
     def total(self) -> float:
         return self.instance_total + self.semantic_loss + self.point_box_loss
-
-
-def fd_gradient_check(
-    loss_fn, params: dict, epsilon: float = 1e-5, skip_nonsmooth: bool = False
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_fn`` maps a dict of named variables to a scalar variable. The
-    analytic side runs the tape once; the numeric side re-evaluates the
-    loss at +/- epsilon per entry. Returns the maximum relative error
-    |a - f| / max(1, |a|, |f|) over every parameter entry.
-
-    With ``skip_nonsmooth`` the two evaluations of an entry also record the
-    branch pattern of every kinked operation (and any discrete decision the
-    loss reports via ``autodiff.record``); entries whose two points fall on
-    different branches straddle a kink where central differences are
-    meaningless, so they are excluded. The loss must take at least one
-    smooth entry.
-    """
-    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
-    leaves = {name: ad.parameter(value) for name, value in work.items()}
-    out = loss_fn(leaves)
-    if not np.isfinite(out.value):
-        raise ValueError("loss is not finite at the evaluation point")
-    ad.backward(out)
-    analytic = {
-        name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-        for name, leaf in leaves.items()
-    }
-
-    def evaluate():
-        result, digest = ad.capture_signature(
-            lambda: loss_fn({name: Var(v) for name, v in work.items()})
-        )
-        if not np.isfinite(result.value):
-            raise ValueError("loss is not finite at a perturbed point")
-        return float(result.value), digest
-
-    max_err = 0.0
-    checked = 0
-    for name, arr in work.items():
-        grads = analytic[name].ravel()
-        if not np.all(np.isfinite(grads)):
-            raise ValueError("analytic gradient is not finite")
-        for i in range(arr.size):
-            original = arr.flat[i]
-            arr.flat[i] = original + epsilon
-            f_plus, sig_plus = evaluate()
-            arr.flat[i] = original - epsilon
-            f_minus, sig_minus = evaluate()
-            arr.flat[i] = original
-            if skip_nonsmooth and sig_plus != sig_minus:
-                continue
-            checked += 1
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
-            a = grads[i]
-            max_err = max(max_err, abs(a - fd) / max(1.0, abs(a), abs(fd)))
-    if checked == 0:
-        raise ValueError("every entry straddles a kink; nothing to check")
-    return max_err

@@ -29,10 +29,14 @@ def toy_scene(positions, semantic, instance, num_classes=5, colors=None, superpo
 # supervision.dice_term; their tests compare against the functions below.
 
 
+def volume(box: Aabb) -> float:
+    return float(np.prod(box.max_corner - box.min_corner))
+
+
 def _intersection_union(a: Aabb, b: Aabb) -> tuple[float, float]:
     inter_extent = np.minimum(a.max_corner, b.max_corner) - np.maximum(a.min_corner, b.min_corner)
     inter = float(np.prod(np.maximum(inter_extent, 0.0)))
-    union = a.volume + b.volume - inter
+    union = volume(a) + volume(b) - inter
     return inter, union
 
 
@@ -44,7 +48,7 @@ def aabb_iou(a: Aabb, b: Aabb) -> float:
     """
     inter, union = _intersection_union(a, b)
     if union <= 0.0:
-        return 1.0 if a == b else 0.0
+        return 1.0 if np.array_equal(a.to_vector(), b.to_vector()) else 0.0
     return inter / union
 
 
@@ -76,6 +80,71 @@ def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(1.0 - 2.0 * np.dot(pred, gt) / denom)
+
+
+# The per-entry gradient oracle: every tape operation, loss term and fused
+# vjp is checked against central differences with it. The benchmark runs its
+# own directional check over the whole scene loss (bench/workloads.py).
+
+
+def fd_gradient_check(
+    loss_fn, params: dict, epsilon: float = 1e-5, skip_nonsmooth: bool = False
+) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    ``loss_fn`` maps a dict of named variables to a scalar variable. The
+    analytic side runs the tape once; the numeric side re-evaluates the
+    loss at +/- epsilon per entry. Returns the maximum relative error
+    |a - f| / max(1, |a|, |f|) over every parameter entry.
+
+    With ``skip_nonsmooth`` the two evaluations of an entry also record the
+    branch pattern of every kinked operation (and any discrete decision the
+    loss reports via ``autodiff.record``); entries whose two points fall on
+    different branches straddle a kink where central differences are
+    meaningless, so they are excluded. The loss must take at least one
+    smooth entry.
+    """
+    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
+    leaves = {name: ad.parameter(value) for name, value in work.items()}
+    out = loss_fn(leaves)
+    if not np.isfinite(out.value):
+        raise ValueError("loss is not finite at the evaluation point")
+    ad.backward(out)
+    analytic = {
+        name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
+        for name, leaf in leaves.items()
+    }
+
+    def evaluate():
+        result, digest = ad.capture_signature(
+            lambda: loss_fn({name: Var(v) for name, v in work.items()})
+        )
+        if not np.isfinite(result.value):
+            raise ValueError("loss is not finite at a perturbed point")
+        return float(result.value), digest
+
+    max_err = 0.0
+    checked = 0
+    for name, arr in work.items():
+        grads = analytic[name].ravel()
+        if not np.all(np.isfinite(grads)):
+            raise ValueError("analytic gradient is not finite")
+        for i in range(arr.size):
+            original = arr.flat[i]
+            arr.flat[i] = original + epsilon
+            f_plus, sig_plus = evaluate()
+            arr.flat[i] = original - epsilon
+            f_minus, sig_minus = evaluate()
+            arr.flat[i] = original
+            if skip_nonsmooth and sig_plus != sig_minus:
+                continue
+            checked += 1
+            fd = (f_plus - f_minus) / (2.0 * epsilon)
+            a = grads[i]
+            max_err = max(max_err, abs(a - fd) / max(1.0, abs(a), abs(fd)))
+    if checked == 0:
+        raise ValueError("every entry straddles a kink; nothing to check")
+    return max_err
 
 
 def amax(x, axis: int) -> Var:

@@ -48,12 +48,11 @@ from pciseg.supervision import (
     box_l1,
     cross_entropy,
     dice_term,
-    fd_gradient_check,
     mask_scoring,
     one_to_many_match,
 )
 
-from conftest import early_expansion_pointwise
+from conftest import early_expansion_pointwise, fd_gradient_check
 from test_aggregator import stacked_features, zero_block
 from test_evalmetrics import prediction_for, reference_ap, scene_with_instances
 from test_supervision import assignment_cost, brute_force_min_cost

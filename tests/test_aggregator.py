@@ -10,9 +10,14 @@ from pciseg.aggregator import AggregatorBlock, aggregate_batch, ball_query, head
 from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout
 from pciseg.pipeline import PipelineConfig, _candidate_stage
-from pciseg.supervision import fd_gradient_check
 
-from conftest import ROW_KINDS, chained_aggregate, full_walk_aggregate_grads, upstream_with_zero_rows
+from conftest import (
+    ROW_KINDS,
+    chained_aggregate,
+    fd_gradient_check,
+    full_walk_aggregate_grads,
+    upstream_with_zero_rows,
+)
 
 
 def tape_block(radius, q, layers):

@@ -5,9 +5,8 @@ import pytest
 
 from pciseg import autodiff as ad
 from pciseg.autodiff import Var
-from pciseg.supervision import fd_gradient_check
 
-from conftest import amax
+from conftest import amax, fd_gradient_check
 
 RNG = np.random.default_rng(42)
 
@@ -67,7 +66,7 @@ def test_reductions_and_shaping():
     params = {"x": RNG.normal(size=(3, 5, 2))}
     check(
         lambda p: ad.vsum(amax(p["x"], axis=1))
-        + ad.mean(p["x"], axis=0)[2, 1]
+        + ad.mean(p["x"])
         + ad.vsum(ad.reshape(p["x"], (5, 6))[1:3]),
         params,
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pciseg.cli import main
-from pciseg.pipeline import PipelineConfig
+from pciseg.pipeline import PipelineConfig, load_model, save_model
 from pciseg.scenegen import GenConfig, generate, read_predictions, read_scene, write_predictions, write_scene
 
 from conftest import toy_scene
@@ -131,6 +131,35 @@ def test_truncated_scene_exits_naming_it(tmp_path, scene_dir):
     model = Path(__file__).resolve().parents[1] / "bench" / "model.bin"
     with pytest.raises(SystemExit, match=f"^{re.escape(str(scene))}: truncated"):
         main(["infer", "--model", str(model), "--scene", str(scene), "--out", str(tmp_path / "out.pred")])
+
+
+def test_non_finite_model_exits_naming_it(tmp_path, scene_dir):
+    # Served, the NaN would give NaN scores and a .pred file that the reader refuses.
+    model = load_model(Path(__file__).resolve().parents[1] / "bench" / "model.bin")
+    model.params["head.q_b"][0] = float("nan")
+    path = tmp_path / "nan.bin"
+    save_model(path, model)
+    scene, out = next(scene_dir.glob("*.scene")), tmp_path / "out.pred"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: model parameter head\\.q_b is not finite$"):
+        main(["infer", "--model", str(path), "--scene", str(scene), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_instance_free_validation_exits_naming_data(tmp_path):
+    # The last scene is held out for validation; without instances its AP50 has nothing to score.
+    data = tmp_path / "scenes"
+    data.mkdir()
+    for index, scene in enumerate(generate(GenConfig(num_scenes=2, points_per_scene=128, seed=5))):
+        write_scene(data / f"scene_{index:04d}.scene", scene)
+    positions = [[0.1 * i, 0.05 * i, 0.0] for i in range(64)]
+    write_scene(data / "scene_9999.scene", toy_scene(positions, [0] * 64, [-1] * 64))
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"d_model": 8, "mask_dim": 4, "layout_dims": [13, 8, 1], "stage1_budget": 24,
+                               "chunk_sizes": [6, 4], "k_train": 8, "num_neighbors": 8, "epochs": 1}))
+    named = f"--data {data} with --val-fraction 0.15"
+    with pytest.raises(SystemExit, match=f"^{re.escape(named)}: no validation scene holds a ground-truth instance$"):
+        main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture
@@ -274,6 +303,12 @@ BAD_CONFIGS = [
         "generate", '{"background_fraction": -1}', "invalid GenConfig: background_fraction", id="generate-negative-background"
     ),
     pytest.param("generate", '{"room_size": [0, 0]}', "invalid GenConfig: room_size", id="generate-empty-room"),
+    pytest.param(
+        "generate",
+        '{"min_instances": 1, "max_instances": 1, "scenario_weights": [1, 0, 0]}',
+        "invalid GenConfig: a packed scene places at least 2 instances",
+        id="generate-packed-single-instance",
+    ),
     pytest.param("generate", '{"room_size": [0.5, 0.5]}', "invalid GenConfig: room_size", id="generate-small-room"),
     pytest.param("generate", '{"room_size": [1.0, 4.0]}', "invalid GenConfig: room_size", id="generate-narrow-room"),
     pytest.param("generate", '{"room_size": [1e308, 1e308]}', "invalid GenConfig: room_size", id="generate-huge-room"),

@@ -15,7 +15,7 @@ from pciseg.core import (
 )
 from pciseg.pipeline import ModelParams, PipelineConfig, _forward_pointwise
 
-from conftest import aabb_giou, aabb_iou, dice_loss, toy_scene
+from conftest import aabb_giou, aabb_iou, dice_loss, toy_scene, volume
 
 
 def unit_cube(origin=(0.0, 0.0, 0.0)):
@@ -29,7 +29,7 @@ class TestAabbFromMask:
         box = aabb_from_mask(scene, np.array([True]))
         assert np.allclose(box.min_corner, [1, 2, 3])
         assert np.allclose(box.max_corner, [1, 2, 3])
-        assert box.volume == 0.0
+        assert volume(box) == 0.0
 
     def test_two_point_envelope(self):
         scene = toy_scene([[0, 0, 0], [1, 2, 3]], [1, 1], [0, 0])
@@ -48,7 +48,7 @@ class TestAabbFromMask:
         perm = rng.permutation(20)
         a = aabb_from_points(pts)
         b = aabb_from_points(pts[perm])
-        assert a == b
+        assert np.array_equal(a.to_vector(), b.to_vector())
 
 
 class TestGiou:
@@ -101,7 +101,7 @@ def test_giou_symmetric_bounded_below_iou(a, b):
     assert g1 == pytest.approx(g2, abs=1e-12)
     assert g1 <= aabb_iou(a, b) + 1e-12
     assert -1.0 <= g1 <= 1.0
-    if a.volume > 1e-9 or b.volume > 1e-9:
+    if volume(a) > 1e-9 or volume(b) > 1e-9:
         # The open lower bound needs a union volume resolvable against the
         # hull in float64; disjoint (near-)zero-volume boxes reach -1.
         assert g1 > -1.0

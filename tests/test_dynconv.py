@@ -14,9 +14,8 @@ from pciseg import autodiff as ad
 from pciseg import dynconv
 from pciseg.autodiff import Var
 from pciseg.dynconv import KernelLayout, decode_mask_logits
-from pciseg.supervision import fd_gradient_check
 
-from conftest import ROW_KINDS, full_walk_decoder_grads, upstream_with_zero_rows
+from conftest import ROW_KINDS, fd_gradient_check, full_walk_decoder_grads, upstream_with_zero_rows
 
 # Published parameter counts for the decoder layer ablation; the flat-kernel
 # slicing must reproduce them exactly (bias on every layer except the last).

@@ -142,3 +142,4 @@ def test_load_model_valid_or_value_error(data):
     if model is not None:
         specs = _param_specs(default_config_for(model))
         assert [(name, value.shape) for name, value in model.params.items()] == specs
+        assert all(np.all(np.isfinite(value)) for value in model.params.values())

@@ -466,6 +466,21 @@ class TestTraining:
             with pytest.raises(ValueError, match="^scene has 3 classes, the config 5$"):
                 train(train_scenes, tiny_config(epochs=1), seed=0, val_scenes=val_scenes)
 
+    def test_validation_scenes_need_a_ground_truth_instance(self, monkeypatch):
+        # Their AP50 would have nothing to score at the first validation epoch.
+        scenes = generate(GenConfig(num_scenes=2, points_per_scene=256, seed=3))
+        rng = np.random.default_rng(4)
+        empty = toy_scene(rng.uniform(0.0, 2.0, size=(200, 3)), [0] * 200, [-1] * 200)
+
+        def no_step(*args):
+            raise AssertionError("a scene was trained on before the validation scenes were checked")
+
+        monkeypatch.setattr(pipeline, "scene_loss", no_step)
+        with pytest.raises(ValueError, match="^no validation scene holds a ground-truth instance$"):
+            train(scenes, tiny_config(epochs=1), seed=0, val_scenes=[empty, empty])
+        pipeline.check_validation_scenes([])
+        pipeline.check_validation_scenes([empty, scenes[0]])
+
     def test_divergence_aborts_with_diagnostic(self):
         scenes = generate(GenConfig(num_scenes=1, points_per_scene=256, seed=9))
         config = tiny_config(learning_rate=1e12, epochs=10, batch_size=1)
@@ -637,6 +652,16 @@ class TestSerialization:
             self.write_raw(path, header | {"params": params}, payload)
             with pytest.raises(ValueError, match="parameters"):
                 load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        # Loaded, a NaN here would give NaN scores, and a .pred file that the reader refuses.
+        model = ModelParams.initialize(tiny_config(), 11)
+        model.params["head.q_b"][0] = bad
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        with pytest.raises(ValueError, match=r"^model parameter head\.q_b is not finite$"):
+            load_model(path)
 
     def test_trailing_data(self, tmp_path):
         header, payload = self.saved_header(tmp_path)

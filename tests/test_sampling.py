@@ -355,7 +355,7 @@ class TestRecallOrdering:
 class TestBudget:
     def test_split_budget_preserves_total(self):
         for total in (1, 2, 5, 32, 64, 128, 384):
-            assert split_budget(total).total == total
+            assert sum(split_budget(total).chunk_sizes) == total
 
     def test_default_pattern(self):
         assert split_budget(384).chunk_sizes == (192, 128, 64)

@@ -50,6 +50,17 @@ class TestGenerator:
         with pytest.raises(ValueError, match=message):
             GenConfig(**{field: value})
 
+    def test_packed_weight_needs_two_instances(self):
+        # A packed scene places at least two instances, whatever max_instances says.
+        with pytest.raises(ValueError, match=r"^a packed scene places at least 2 instances"):
+            GenConfig(min_instances=1, max_instances=1, scenario_weights=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"max_instances >= 2$"):
+            GenConfig(min_instances=1, max_instances=1, scenario_weights=(0.1, 0.4, 0.5))
+        scenes = generate(small_config(min_instances=1, max_instances=1, scenario_weights=(0.0, 0.5, 0.5)))
+        assert scenes and all(scene.num_instances == 1 for scene in scenes)
+        scenes = generate(small_config(min_instances=1, max_instances=2, scenario_weights=(1.0, 0.0, 0.0)))
+        assert scenes and all(scene.num_instances == 2 for scene in scenes)
+
     def test_edge_background_fraction_and_room_accepted(self):
         assert GenConfig(background_fraction=0.0, room_size=(4, 3.5)).background_fraction == 0.0
 
@@ -93,15 +104,15 @@ class TestGenerator:
         for scene in scenes:
             found = False
             boxes = [scene.instance_box(j) for j in range(scene.num_instances)]
+            centers = [0.5 * (box.min_corner + box.max_corner) for box in boxes]
+            diagonals = [np.linalg.norm(box.max_corner - box.min_corner) for box in boxes]
             classes = [scene.instance_class(j) for j in range(scene.num_instances)]
             for a in range(scene.num_instances):
                 for b in range(a + 1, scene.num_instances):
                     if classes[a] != classes[b]:
                         continue
-                    dist = np.linalg.norm(boxes[a].center - boxes[b].center)
-                    reach = (
-                        np.linalg.norm(boxes[a].extent) / 2 + np.linalg.norm(boxes[b].extent) / 2
-                    )
+                    dist = np.linalg.norm(centers[a] - centers[b])
+                    reach = diagonals[a] / 2 + diagonals[b] / 2
                     if dist < reach:
                         found = True
             assert found, "packed scenario must contain a near-contact same-class pair"
@@ -112,9 +123,8 @@ class TestGenerator:
         for scene in scenes:
             # at least one instance has a bounding box much larger than the
             # median nearest-neighbor spacing would explain for one blob
-            spans = [
-                np.max(scene.instance_box(j).extent) for j in range(scene.num_instances)
-            ]
+            boxes = [scene.instance_box(j) for j in range(scene.num_instances)]
+            spans = [np.max(box.max_corner - box.min_corner) for box in boxes]
             assert max(spans) > 0.55
 
     def test_background_present(self):
@@ -233,7 +243,7 @@ class TestPredictionIo:
         for a, b in zip(preds, loaded):
             assert a.class_id == b.class_id
             assert a.score == b.score
-            assert a.box == b.box
+            assert np.array_equal(a.box.to_vector(), b.box.to_vector())
             assert np.array_equal(a.mask, b.mask)
 
     def test_empty_list_valid(self, tmp_path):

@@ -22,7 +22,6 @@ from pciseg.supervision import (
     box_l1,
     cross_entropy,
     dice_term,
-    fd_gradient_check,
     instance_loss_terms,
     mask_scoring,
     matching_cost_matrix,
@@ -30,7 +29,7 @@ from pciseg.supervision import (
     pointwise_terms,
 )
 
-from conftest import aabb_giou, dice_loss, toy_scene
+from conftest import aabb_giou, dice_loss, fd_gradient_check, toy_scene
 
 
 def brute_force_min_cost(cost, duplication):
