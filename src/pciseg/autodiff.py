@@ -17,6 +17,7 @@ import hashlib
 import math
 
 import numpy as np
+from scipy import special
 from scipy.special import expit
 
 # Optional branch-pattern recording: while a sink is installed, every kinked
@@ -325,8 +326,7 @@ def getitem(x, idx) -> Var:
 
 def log_softmax(x, axis: int = -1) -> Var:
     x = as_var(x)
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = special.log_softmax(x.value, axis=axis)
 
     def vjp(g):
         soft = np.exp(out)

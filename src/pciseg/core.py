@@ -336,9 +336,10 @@ def voxelize(scene: Scene, voxel_size: float = 0.02) -> VoxelMap:
     return VoxelMap(voxel_size, inverse, int(inverse.max()) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
-    """One predicted instance: binary mask, class, box, and confidence."""
+    """One predicted instance: binary mask, class, box, and confidence.
+    Predictions compare by identity, as boxes do."""
 
     class_id: int
     score: float

@@ -10,7 +10,7 @@ carries no bias).
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +58,7 @@ class KernelLayout:
 
     @property
     def param_count(self) -> int:
-        count = 0
-        for layer in range(self.num_layers):
-            c_in, c_out = self.dims[layer], self.dims[layer + 1]
-            count += c_in * c_out
-            if layer < self.num_layers - 1:
-                count += c_out
-        return count
+        return self.slices()[-1][0].stop  # the last layer has no bias
 
     def slices(self) -> list[tuple[slice, slice | None, tuple[int, int]]]:
         """Flat-vector slices per layer: (weights, bias or None, (c_in, c_out))."""
@@ -146,34 +140,6 @@ def share_count(pairs: int) -> int:
     return max(1, min(WORKERS, pairs // MIN_SHARE_PAIRS))
 
 
-def _in_shares(decode_share, shares: int) -> None:
-    """Run ``decode_share(s)`` for every s < ``shares``.
-
-    Share 0 runs on the calling thread and every other share on a
-    short-lived thread of its own, so no pool outlives the call (or breaks
-    in a forked child). Once every thread has joined, the first error of a
-    share is raised again.
-    """
-    errors = []
-
-    def guarded(share: int) -> None:
-        try:
-            decode_share(share)
-        except BaseException as exc:  # re-raised by the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(s,)) for s in range(1, shares)]
-    for thread in threads:
-        thread.start()
-    try:
-        decode_share(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def decode_mask_logits(
     fmask: Var,
     positions: np.ndarray,
@@ -242,8 +208,10 @@ def decode_mask_logits(
     Over at least ``MIN_SHARE_POINTS`` points, the forward splits the
     candidates into up to ``WORKERS`` interleaved shares of at least
     ``MIN_SHARE_PAIRS`` candidate-point pairs, each with buffers of its
-    own, which run on as many threads; every row keeps the same
-    arithmetic, so the logits do not depend on the split.
+    own. The calling thread decodes share 0 and a ``ThreadPoolExecutor``
+    of one thread per other share, shut down before the call returns,
+    decodes the rest; every row keeps the same arithmetic, so the logits
+    do not depend on the split.
 
     The vjp returns the gradients of ``fmask``, ``point_boxes``,
     ``cand_boxes`` and ``kernels``. It walks only the candidates whose row
@@ -362,7 +330,14 @@ def decode_mask_logits(
         for k in range(share, k_count, shares):
             run(k, acts, tile_views, diff, logits[k][:, None], None if marks is None else marks[k])
 
-    _in_shares(decode_share, shares)
+    # The pool starts threads only for submitted shares, joins them all on
+    # leaving the block before any share's error is raised, and outlives no
+    # call (so none breaks in a forked child).
+    with ThreadPoolExecutor(max(1, shares - 1)) as pool:
+        others = [pool.submit(decode_share, share) for share in range(1, shares)]
+        decode_share(0)
+    for future in others:
+        future.result()
     for candidate_marks in marks or ():
         for bits in candidate_marks:
             ad.record(bits)

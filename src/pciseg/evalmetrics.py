@@ -100,8 +100,7 @@ def _ap_from_flags(tp: np.ndarray, num_gt: int) -> float:
     recall = cum_tp / num_gt
     mrec = np.concatenate([[0.0], recall])
     mpre = np.concatenate([[1.0], precision])
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 

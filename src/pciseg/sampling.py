@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Scene, coordinate_major_d2
+from .core import Scene, coordinate_major_d2, squared_distances
 
 # A point is foreground while 1 - P(background) > TAU, and stays unclaimed
 # while 1 - m > TAU for every decoded soft mask value m on it.
@@ -70,10 +70,8 @@ class _MaxMinSampler:
     def seed(self, allowed: np.ndarray, index: int | None = None) -> None:
         if index is None:
             idx = np.flatnonzero(allowed)
-            centroid = self.positions[idx].mean(axis=0)
-            delta = self.positions[idx] - centroid
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            index = int(idx[np.argmin(d2)])
+            points = self.positions[idx]
+            index = int(idx[np.argmin(squared_distances(points, points.mean(axis=0)))])
         self._take(index)
 
     def extend(self, allowed: np.ndarray, count: int) -> list[int]:
@@ -201,12 +199,8 @@ def oracle_mask_provider(scene: Scene) -> Callable[[np.ndarray], np.ndarray]:
     """
 
     def provider(indices: np.ndarray) -> np.ndarray:
-        masks = np.zeros((len(indices), scene.num_points), dtype=np.float64)
-        for row, idx in enumerate(np.asarray(indices, dtype=np.int64)):
-            inst = int(scene.instance_gt[idx])
-            if inst >= 0:
-                masks[row] = scene.instance_mask(inst).astype(np.float64)
-        return masks
+        inst = scene.instance_gt[np.asarray(indices, dtype=np.int64)][:, None]
+        return ((scene.instance_gt == inst) & (inst >= 0)).astype(np.float64)
 
     return provider
 

@@ -10,6 +10,7 @@ The tests check each term's gradient against central differences with
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,8 @@ class Assignment:
         cands = [k for k, _ in self.pairs]
         if len(set(cands)) != len(cands):
             raise ValueError("a candidate may be matched at most once")
-        counts: dict[int, int] = {}
-        for _, j in self.pairs:
-            counts[j] = counts.get(j, 0) + 1
-            if counts[j] > self.duplication:
-                raise ValueError("ground-truth multiplicity exceeds the duplication cap")
+        if max(Counter(j for _, j in self.pairs).values(), default=0) > self.duplication:
+            raise ValueError("ground-truth multiplicity exceeds the duplication cap")
 
     @property
     def matched_candidates(self) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pciseg.core import (
     Aabb,
+    Prediction,
     Scene,
     aabb_from_mask,
     aabb_from_points,
@@ -311,6 +312,16 @@ class TestDevoxelize:
         _, first = np.unique(vm.point_to_voxel, return_index=True)
         for rows in late_rows(scene, 0.25):
             assert np.array_equal(rows[first][vm.point_to_voxel], rows)
+
+
+class TestPrediction:
+    def test_equality_is_identity(self):
+        # Masks are arrays: a field-wise __eq__ would raise on two predictions.
+        box = unit_cube()
+        a, b = (Prediction(class_id=1, score=0.5, box=box, mask=np.array([True, False])) for _ in range(2))
+        assert a == a
+        assert a != b
+        assert [a, b].index(b) == 1
 
 
 class TestSceneValidation:

@@ -621,6 +621,28 @@ class TestWorkerSplit:
         monkeypatch.setattr(dynconv.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert dynconv.worker_count() == expected
 
+    def test_split_decode_runs_share_zero_on_the_calling_thread(self, monkeypatch):
+        # Three shares of six candidates: the caller decodes 0 and 3, pool
+        # threads the rest, and every pool thread has joined on return.
+        monkeypatch.setattr(dynconv, "WORKERS", 3)
+        values, positions, cand_positions, layout = decoder_case(6, 37, (13, 8, 1))
+        readers = {}
+
+        class TracksCandidates(np.ndarray):
+            def __getitem__(self, k):
+                readers.setdefault(threading.get_ident(), []).append(k)
+                return np.asarray(self)[k]
+
+        p = {name: Var(v) for name, v in values.items()}
+        threads_before = threading.active_count()
+        logits = decode(decode_mask_logits, p, positions, cand_positions.view(TracksCandidates), layout, "on")
+        assert threading.active_count() == threads_before
+        assert readers.pop(threading.get_ident()) == [0, 3]
+        assert sorted(k for ks in readers.values() for k in ks) == [1, 2, 4, 5]
+        monkeypatch.setattr(dynconv, "WORKERS", 1)
+        want = decode(decode_mask_logits, p, positions, cand_positions, layout, "on")
+        assert logits.value.tobytes() == want.value.tobytes()
+
     def test_worker_error_raised_after_every_thread_joined(self, monkeypatch):
         # Candidate 1 (share 1 of 3) fails at once; candidate 5 (share 2)
         # is still decoding then. The caller must wait for it, then raise.

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pciseg.core import Aabb, Prediction
-from pciseg.evalmetrics import AP_THRESHOLDS, average_precision, evaluate
+from pciseg.evalmetrics import AP_THRESHOLDS, _ap_from_flags, average_precision, evaluate
 
 from conftest import aabb_iou, toy_scene
 
@@ -48,6 +50,27 @@ def reference_ap(ranked_tp, num_gt):
         area += (r - prev_r) * best_p
         prev_r = r
     return area
+
+
+def loop_envelope_ap(tp, num_gt):
+    """All-point AP with the precision envelope taken one entry at a time,
+    right to left."""
+    if num_gt == 0 or tp.size == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    mrec = np.concatenate([[0.0], cum_tp / num_gt])
+    mpre = np.concatenate([[1.0], cum_tp / np.arange(1, tp.size + 1)])
+    for i in range(mpre.size - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=80), st.integers(0, 12))
+def test_ap_from_flags_has_the_loop_envelope_bytes(flags, unmatched_gt):
+    tp = np.asarray(flags, dtype=bool)
+    num_gt = int(tp.sum()) + unmatched_gt
+    assert _ap_from_flags(tp, num_gt).hex() == loop_envelope_ap(tp, num_gt).hex()
 
 
 class TestAveragePrecision:

@@ -12,7 +12,9 @@ the benchmark's. Each line prints one sha256:
   8 x 4096 points) through ``infer`` with ``INFER_FIELDS`` and
   ``bench/model.bin``. ``pred`` hashes the ``.pred`` bytes of every scene
   in pool order; ``all`` hashes every prediction's class, score, box,
-  packed mask and soft mask.
+  packed mask and soft mask; ``eval`` hashes every float of
+  ``evalmetrics.evaluate``'s report over the pool (``as_dict()``, then
+  ``per_class`` by class), each as ``float.hex``.
 - ``train``: the parameters and the loss history after the train-768
   workload's ``train`` call (6 epochs of ``TRAIN_FIELDS`` on the 8 seed-0
   scenes of 768 points).
@@ -38,17 +40,18 @@ common.require_checkout_package()
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from pciseg import autodiff as ad, pipeline, scenegen  # noqa: E402
+from pciseg import autodiff as ad, evalmetrics, pipeline, scenegen  # noqa: E402
 from pciseg.pipeline import PipelineConfig  # noqa: E402
 
 SEED = 0
 
 
-def infer_digests(model, points: int, count: int, work: Path) -> tuple[str, str]:
+def infer_digests(model, points: int, count: int, work: Path) -> tuple[str, str, str]:
     config = PipelineConfig(**common.INFER_FIELDS)
     pred_bytes, fields = hashlib.sha256(), hashlib.sha256()
-    for i, scene in enumerate(workloads.pool_scenes(points, count, common.scene_seed(SEED))):
-        preds = pipeline.infer(scene, model, config)
+    scenes = workloads.pool_scenes(points, count, common.scene_seed(SEED))
+    predictions = [pipeline.infer(scene, model, config) for scene in scenes]
+    for i, (scene, preds) in enumerate(zip(scenes, predictions)):
         path = work / f"scene_{points}_{i:03d}.pred"
         scenegen.write_predictions(path, preds, scene.num_points)
         pred_bytes.update(path.read_bytes())
@@ -58,7 +61,11 @@ def infer_digests(model, points: int, count: int, work: Path) -> tuple[str, str]
             fields.update(pred.box.to_vector().tobytes())
             fields.update(np.packbits(pred.mask).tobytes())
             fields.update(pred.soft_mask.tobytes())
-    return pred_bytes.hexdigest(), fields.hexdigest()
+    report = evalmetrics.evaluate(predictions, scenes)
+    floats = list(report.as_dict().items())
+    floats += [(f"{c}.{key}", value) for c, per in sorted(report.per_class.items()) for key, value in per.items()]
+    report_bytes = "".join(f"{key} {value.hex()}\n" for key, value in floats).encode()
+    return pred_bytes.hexdigest(), fields.hexdigest(), hashlib.sha256(report_bytes).hexdigest()
 
 
 def train_digests(scenes, config) -> tuple[str, str]:
@@ -91,8 +98,8 @@ def main() -> int:
     lines = []
     with tempfile.TemporaryDirectory() as work:
         for workload, (points, count) in workloads.INFER_POOLS.items():
-            pred, fields = infer_digests(model, points, count, Path(work))
-            lines += [f"{workload} pred {pred}", f"{workload} all {fields}"]
+            pred, fields, report = infer_digests(model, points, count, Path(work))
+            lines += [f"{workload} pred {pred}", f"{workload} all {fields}", f"{workload} eval {report}"]
     scenes = workloads.pool_scenes(workloads.TRAIN_POINTS, workloads.TRAIN_SCENES, common.scene_seed(SEED))
     config = PipelineConfig(**common.TRAIN_FIELDS, epochs=workloads.TRAIN_EPOCHS)
     params, history = train_digests(scenes, config)
